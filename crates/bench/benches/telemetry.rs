@@ -5,8 +5,8 @@
 //!
 //! Two cells over the same small scheme × workload sweep:
 //!
-//! * `null-overhead` — [`Plan::run_with`] vs
-//!   [`Plan::run_metered_with`] under [`NullTelemetry`], interleaved so
+//! * `null-overhead` — [`Plan::run`] vs
+//!   [`Plan::run_metered`] under [`NullTelemetry`], interleaved so
 //!   machine noise lands on both sides. The metered path monomorphizes
 //!   every emission site away behind `Telemetry::ENABLED`, so the ratio
 //!   must stay ≈ 1.0×; CI regenerates it and fails when it regresses
@@ -29,8 +29,7 @@
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use vliw_sim::plan::Plan;
-use vliw_sim::runner::ImageCache;
+use vliw_sim::plan::{Plan, Session};
 use vliw_telemetry::{NullTelemetry, Registry};
 
 /// 1/200 of the paper's runs (matches the other bench snapshots).
@@ -93,16 +92,16 @@ fn committed_null_ratio(snapshot: &str) -> Option<f64> {
 
 fn main() {
     let check = std::env::var("BENCH_TELEMETRY_CHECK").is_ok_and(|v| v == "1");
-    let cache = ImageCache::new();
+    let session = Session::with_parallelism(1);
     let plan = plan();
 
     // Correctness before cost: all three paths must produce the same
     // deterministic results (the registry path additionally flags its
     // gated export columns, so compare per-cell stats there).
-    let base_set = plan.run_with(&cache, 1);
-    let null_set = plan.run_metered_with(&cache, 1, &NullTelemetry);
+    let base_set = plan.run(&session);
+    let null_set = plan.run_metered(&session, &NullTelemetry);
     let reg = Registry::new();
-    let reg_set = plan.run_metered_with(&cache, 1, &reg);
+    let reg_set = plan.run_metered(&session, &reg);
     assert_eq!(
         base_set.to_json(),
         null_set.to_json(),
@@ -120,16 +119,16 @@ fn main() {
     let (mut base_ms, mut null_ms, mut registry_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..ITERS {
         let t0 = Instant::now();
-        let s = plan.run_with(&cache, 1);
+        let s = plan.run(&session);
         base_ms = base_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(!s.is_empty());
         let t0 = Instant::now();
-        let s = plan.run_metered_with(&cache, 1, &NullTelemetry);
+        let s = plan.run_metered(&session, &NullTelemetry);
         null_ms = null_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(!s.is_empty());
         let reg = Registry::new();
         let t0 = Instant::now();
-        let s = plan.run_metered_with(&cache, 1, &reg);
+        let s = plan.run_metered(&session, &reg);
         registry_ms = registry_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(!s.is_empty());
     }

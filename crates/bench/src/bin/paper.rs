@@ -14,7 +14,8 @@
 //!
 //! EXHIBIT: table1 table2 fig4 fig5 fig6 fig9 fig10 fig11 fig12 headline
 //!          geometry trace traffic fleet all   (default: all)
-//! --scale N        divide the paper's 100M-instruction budget by N (default 20)
+//! --scale N        divide the paper's 100M-instruction budget by N (N > 0;
+//!                  default 20)
 //! --full           the paper's full run lengths (scale 1); slow
 //! --threads N      rayon worker threads for simulation sweeps (default:
 //!                  cores-1; --par is accepted as an alias)
@@ -111,26 +112,143 @@ use vliw_sim::plan::{
 use vliw_sim::sched::SchedulerSpec;
 use vliw_trace::TraceFormat;
 
-/// Every exhibit name the harness understands, in render order.
-const EXHIBITS: [&str; 14] = [
-    "table1", "table2", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11", "fig12", "headline",
-    "geometry", "trace", "traffic", "fleet",
+/// Where an exhibit's text comes from.
+enum Source {
+    /// The hardware-cost model or the workload tables alone.
+    Static(fn() -> Exhibit),
+    /// A simulated sweep, exported under `id`: exhibits naming the same
+    /// sweep share one run of `plan`, and each renders its own projection
+    /// of the result set.
+    Sweep {
+        id: &'static str,
+        plan: fn(u64) -> Plan,
+        render: fn(&ResultSet) -> Exhibit,
+    },
+    /// A simulated sweep run with every cell traced (never metered).
+    Traced {
+        plan: fn(u64) -> Plan,
+        render: fn(&experiments::TraceData) -> Exhibit,
+    },
+}
+
+impl Source {
+    /// The plan behind a simulated exhibit (what `--trace` probes).
+    fn plan(&self) -> Option<fn(u64) -> Plan> {
+        match self {
+            Source::Static(_) => None,
+            Source::Sweep { plan, .. } | Source::Traced { plan, .. } => Some(*plan),
+        }
+    }
+}
+
+/// Every exhibit the harness understands, in render order.
+const EXHIBITS: [(&str, Source); 14] = [
+    (
+        "table1",
+        Source::Sweep {
+            id: "table1",
+            plan: experiments::table1_plan,
+            render: |set| figures::table1_from(&experiments::table1_rows(set)),
+        },
+    ),
+    ("table2", Source::Static(figures::table2)),
+    (
+        "fig4",
+        Source::Sweep {
+            id: "fig4",
+            plan: experiments::fig4_plan,
+            render: |set| figures::fig4_from(&experiments::fig4_data(set)),
+        },
+    ),
+    ("fig5", Source::Static(figures::fig5)),
+    (
+        "fig6",
+        Source::Sweep {
+            id: "fig6",
+            plan: experiments::fig6_plan,
+            render: |set| figures::fig6_from(&experiments::fig6_data(set)),
+        },
+    ),
+    ("fig9", Source::Static(figures::fig9)),
+    // The Figure-10 sweep (all schemes x all mixes) feeds figs 10/11/12
+    // and the headline claims.
+    (
+        "fig10",
+        Source::Sweep {
+            id: "fig10",
+            plan: experiments::fig10_plan,
+            render: |set| figures::fig10_from(&experiments::fig10_data(set)),
+        },
+    ),
+    (
+        "fig11",
+        Source::Sweep {
+            id: "fig10",
+            plan: experiments::fig10_plan,
+            render: |set| figures::fig11_12_from(&experiments::fig10_data(set)).0,
+        },
+    ),
+    (
+        "fig12",
+        Source::Sweep {
+            id: "fig10",
+            plan: experiments::fig10_plan,
+            render: |set| figures::fig11_12_from(&experiments::fig10_data(set)).1,
+        },
+    ),
+    (
+        "headline",
+        Source::Sweep {
+            id: "fig10",
+            plan: experiments::fig10_plan,
+            render: |set| figures::headline_from(&experiments::fig10_data(set)),
+        },
+    ),
+    (
+        "geometry",
+        Source::Sweep {
+            id: "geometry",
+            plan: experiments::geometry_plan,
+            render: |set| figures::geometry_from(&experiments::geometry_data(set)),
+        },
+    ),
+    (
+        "trace",
+        Source::Traced {
+            plan: experiments::trace_plan,
+            render: figures::trace_from,
+        },
+    ),
+    (
+        "traffic",
+        Source::Sweep {
+            id: "traffic",
+            plan: experiments::traffic_plan,
+            render: |set| figures::traffic_from(&experiments::traffic_data(set)),
+        },
+    ),
+    (
+        "fleet",
+        Source::Sweep {
+            id: "fleet",
+            plan: experiments::fleet_plan,
+            render: |set| figures::fleet_from(&experiments::fleet_data(set)),
+        },
+    ),
 ];
 
-/// The plan behind a simulated exhibit (what `--trace` probes), `None` for
-/// the static exhibits (table2, fig5, fig9).
-fn plan_for(name: &str, scale: u64) -> Option<Plan> {
-    match name {
-        "table1" => Some(experiments::table1_plan(scale)),
-        "fig4" => Some(experiments::fig4_plan(scale)),
-        "fig6" => Some(experiments::fig6_plan(scale)),
-        "fig10" | "fig11" | "fig12" | "headline" => Some(experiments::fig10_plan(scale)),
-        "geometry" => Some(experiments::geometry_plan(scale)),
-        "trace" => Some(experiments::trace_plan(scale)),
-        "traffic" => Some(experiments::traffic_plan(scale)),
-        "fleet" => Some(experiments::fleet_plan(scale)),
-        _ => None,
-    }
+/// The source of a (validated) exhibit name.
+fn source(name: &str) -> &'static Source {
+    &EXHIBITS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .expect("exhibit names are validated up front")
+        .1
+}
+
+/// Exhibit names, render order.
+fn exhibit_names() -> Vec<&'static str> {
+    EXHIBITS.iter().map(|(n, _)| *n).collect()
 }
 
 fn main() {
@@ -162,7 +280,8 @@ fn main() {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
+                    .filter(|&n: &u64| n > 0)
+                    .unwrap_or_else(|| die("--scale needs a positive number"));
             }
             "--full" => scale = 1,
             "--threads" | "--par" => {
@@ -331,23 +450,24 @@ fn main() {
     }
     // Validate every requested name before simulating anything: a typo on
     // the last exhibit must not cost the first nine sweeps.
+    let names = exhibit_names();
     for w in &wanted {
-        if w != "all" && !EXHIBITS.contains(&w.as_str()) {
+        if w != "all" && !names.contains(&w.as_str()) {
             die(&format!(
                 "unknown exhibit {w:?}; valid exhibits: {}",
-                EXHIBITS.join(" ")
+                names.join(" ")
             ));
         }
     }
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = EXHIBITS.iter().map(|s| s.to_string()).collect();
+        wanted = names.iter().map(|s| s.to_string()).collect();
     }
     if let Some(f) = &filter {
         wanted.retain(|w| w.contains(f.as_str()));
         if wanted.is_empty() {
             die(&format!(
                 "--filter {f:?} matches no exhibit; valid exhibits: {}",
-                EXHIBITS.join(" ")
+                names.join(" ")
             ));
         }
     }
@@ -366,7 +486,7 @@ fn main() {
         let target = wanted
             .iter()
             .map(String::as_str)
-            .find(|w| plan_for(w, 1).is_some())
+            .find(|w| source(w).plan().is_some())
             .unwrap_or_else(|| {
                 die("--trace needs at least one simulated exhibit selected \
                      (table2/fig5/fig9 are static)")
@@ -446,109 +566,35 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
     let session = Session::with_parallelism(par);
-    // Result sets are kept for the --json/--csv exports only; without an
-    // export flag each set is dropped after rendering. The Figure-10 sweep
-    // (all schemes x all mixes) feeds figs 10/11/12 and the headline
-    // claims; simulate it and project its data at most once per invocation.
-    let export = json_path.is_some() || csv_path.is_some();
-    let mut captured: Vec<(&'static str, ResultSet)> = Vec::new();
-    let mut fig10: Option<experiments::Fig10Data> = None;
-    // Run a plan through the telemetry registry when one is active, the
-    // zero-cost NullTelemetry path otherwise.
-    let run_plan = |plan: Plan| -> ResultSet {
-        match &registry {
-            Some(reg) => plan.run_metered(&session, reg),
-            None => plan.run(&session),
-        }
-    };
+    // Every simulated sweep run so far, by export id, in run order: the
+    // --json/--csv exports and exhibits sharing a sweep read them here.
+    let mut sweeps: Vec<(&'static str, ResultSet)> = Vec::new();
     for name in &wanted {
-        let exhibits: Vec<Exhibit> = match name.as_str() {
-            "table1" => {
-                let set = run_plan(with_axes(experiments::table1_plan(scale)));
-                let ex = figures::table1_from(&experiments::table1_rows(&set));
-                if export {
-                    captured.push(("table1", set));
+        let exhibit = match source(name) {
+            Source::Static(render) => render(),
+            Source::Sweep { id, plan, render } => {
+                if !sweeps.iter().any(|(i, _)| i == id) {
+                    // Through the telemetry registry when one is active,
+                    // the zero-cost NullTelemetry path otherwise.
+                    let plan = with_axes(plan(scale));
+                    let set = match &registry {
+                        Some(reg) => plan.run_metered(&session, reg),
+                        None => plan.run(&session),
+                    };
+                    sweeps.push((id, set));
                 }
-                vec![ex]
+                let (_, set) = sweeps.iter().find(|(i, _)| i == id).expect("just run");
+                render(set)
             }
-            "table2" => vec![figures::table2()],
-            "fig4" => {
-                let set = run_plan(with_axes(experiments::fig4_plan(scale)));
-                let ex = figures::fig4_from(&experiments::fig4_data(&set));
-                if export {
-                    captured.push(("fig4", set));
-                }
-                vec![ex]
+            Source::Traced { plan, render } => {
+                let (set, d) = experiments::trace_data(&with_axes(plan(scale)), &session);
+                sweeps.push(("trace", set));
+                render(&d)
             }
-            "fig5" => vec![figures::fig5()],
-            "fig6" => {
-                let set = run_plan(with_axes(experiments::fig6_plan(scale)));
-                let ex = figures::fig6_from(&experiments::fig6_data(&set));
-                if export {
-                    captured.push(("fig6", set));
-                }
-                vec![ex]
-            }
-            "fig9" => vec![figures::fig9()],
-            "geometry" => {
-                let set = run_plan(with_axes(experiments::geometry_plan(scale)));
-                let ex = figures::geometry_from(&experiments::geometry_data(&set));
-                if export {
-                    captured.push(("geometry", set));
-                }
-                vec![ex]
-            }
-            "trace" => {
-                let plan = with_axes(experiments::trace_plan(scale));
-                let (set, d) = experiments::trace_data(&plan, &session);
-                let ex = figures::trace_from(&d);
-                if export {
-                    captured.push(("trace", set));
-                }
-                vec![ex]
-            }
-            "traffic" => {
-                let set = run_plan(with_axes(experiments::traffic_plan(scale)));
-                let ex = figures::traffic_from(&experiments::traffic_data(&set));
-                if export {
-                    captured.push(("traffic", set));
-                }
-                vec![ex]
-            }
-            "fleet" => {
-                let set = run_plan(with_axes(experiments::fleet_plan(scale)));
-                let ex = figures::fleet_from(&experiments::fleet_data(&set));
-                if export {
-                    captured.push(("fleet", set));
-                }
-                vec![ex]
-            }
-            "fig10" | "fig11" | "fig12" | "headline" => {
-                let d = fig10.get_or_insert_with(|| {
-                    let set = run_plan(with_axes(experiments::fig10_plan(scale)));
-                    let d = experiments::fig10_data(&set);
-                    if export {
-                        captured.push(("fig10", set));
-                    }
-                    d
-                });
-                match name.as_str() {
-                    "fig10" => vec![figures::fig10_from(d)],
-                    "fig11" => vec![figures::fig11_12_from(d).0],
-                    "fig12" => vec![figures::fig11_12_from(d).1],
-                    _ => vec![figures::headline_from(d)],
-                }
-            }
-            other => die(&format!(
-                "unknown exhibit {other}; valid exhibits: {}",
-                EXHIBITS.join(" ")
-            )),
         };
-        for e in exhibits {
-            println!("{}", e.text);
-            if let Err(err) = e.save_csv(&out) {
-                eprintln!("warning: could not save {}: {err}", e.id);
-            }
+        println!("{}", exhibit.text);
+        if let Err(err) = exhibit.save_csv(&out) {
+            eprintln!("warning: could not save {}: {err}", exhibit.id);
         }
     }
 
@@ -556,10 +602,10 @@ fn main() {
         // Trace the first grid cell of the first simulated exhibit. Run
         // length is floored: full event streams grow with run length, and
         // a single cell at the default scale would be gigabytes.
-        let plan = with_axes(
-            plan_for(target, scale.max(experiments::TRACE_SCALE_FLOOR))
-                .expect("trace_target only names simulated exhibits"),
-        );
+        let plan = source(target)
+            .plan()
+            .expect("trace_target only names simulated exhibits");
+        let plan = with_axes(plan(scale.max(experiments::TRACE_SCALE_FLOOR)));
         let key = plan
             .jobs()
             .into_iter()
@@ -584,7 +630,7 @@ fn main() {
     if let Some(path) = &json_path {
         let mut s = String::new();
         let _ = write!(s, "{{\"scale\":{scale},\"exhibits\":[");
-        for (i, (id, set)) in captured.iter().enumerate() {
+        for (i, (id, set)) in sweeps.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -601,41 +647,17 @@ fn main() {
         // One header must fit every captured set, but the sets can
         // disagree on axis explicitness (the geometry exhibit always
         // sweeps machines; the paper exhibits only do under --machine):
-        // shape every row to the *union* of the captured sets' explicit
-        // axes and the flags. With nothing captured the flags alone
-        // decide, so the column layout is flag-deterministic either way.
-        let with_sched =
-            scheduler.is_some() || captured.iter().any(|(_, set)| set.sched_axis_is_explicit());
-        let with_machine = machine.is_some()
-            || captured
-                .iter()
-                .any(|(_, set)| set.machine_axis_is_explicit());
-        let with_fleet =
-            fleet.is_some() || captured.iter().any(|(_, set)| set.fleet_axis_is_explicit());
-        let with_traffic = arrivals.is_some()
-            || captured
-                .iter()
-                .any(|(_, set)| set.traffic_axis_is_explicit());
-        let with_telemetry = captured
+        // shape every row to the union of the flags' and the sets' column
+        // groups. With nothing captured the flags alone decide, so the
+        // column layout is flag-deterministic either way.
+        let shape = sweeps
             .iter()
-            .any(|(_, set)| set.telemetry_axis_is_explicit());
-        let header = ResultSet::csv_header_for(
-            with_sched,
-            with_machine,
-            with_fleet,
-            with_traffic,
-            with_telemetry,
-        );
-        let mut s = format!("exhibit,{header}\n");
-        for (id, set) in &captured {
-            s.push_str(&set.csv_rows_shaped(
-                Some(id),
-                with_sched,
-                with_machine,
-                with_fleet,
-                with_traffic,
-                with_telemetry,
-            ));
+            .fold(with_axes(Plan::new()).shape(), |shape, (_, set)| {
+                shape.union(set.shape())
+            });
+        let mut s = format!("exhibit,{}\n", shape.csv_header());
+        for (id, set) in &sweeps {
+            s.push_str(&set.csv_rows(Some(id), shape));
         }
         if let Err(err) = std::fs::write(path, s) {
             eprintln!("warning: could not write {}: {err}", path.display());
@@ -708,8 +730,8 @@ fn run_lint(as_json: bool) -> ! {
 /// can never drift from what actually parses).
 fn print_list() {
     println!("exhibits:");
-    for e in EXHIBITS {
-        let kind = if plan_for(e, 1).is_some() {
+    for (e, source) in &EXHIBITS {
+        let kind = if source.plan().is_some() {
             "simulated"
         } else {
             "static"

@@ -5,14 +5,8 @@ use vliw_hwcost::{fig5_sweep, scheme_cost};
 use vliw_sim::experiments;
 use vliw_workloads::{all_benchmarks, table2_mixes};
 
-/// Table 1: benchmark suite with measured vs paper IPCr/IPCp.
-pub fn table1(scale: u64, par: usize) -> Exhibit {
-    table1_from(&experiments::table1(scale, par))
-}
-
-/// Render Table 1 from precomputed rows (as the `paper` binary does after
-/// running [`experiments::table1_plan`] once for both text and
-/// serialization).
+/// Table 1: benchmark suite with measured vs paper IPCr/IPCp, rendered
+/// from the rows of an executed [`experiments::table1_plan`].
 pub fn table1_from(rows: &[experiments::Table1Row]) -> Exhibit {
     let mut t = TextTable::new(&[
         "benchmark",
@@ -57,11 +51,6 @@ pub fn table2() -> Exhibit {
 }
 
 /// Figure 4: SMT IPC vs hardware thread count.
-pub fn fig4(scale: u64, par: usize) -> Exhibit {
-    fig4_from(&experiments::fig4(scale, par))
-}
-
-/// Render Figure 4 from precomputed sweep data.
 pub fn fig4_from(d: &experiments::Fig4Data) -> Exhibit {
     let mut t = TextTable::new(&["workload", "single-thread", "2-thread SMT", "4-thread SMT"]);
     for (m, row) in d.mixes.iter().zip(&d.ipc) {
@@ -116,11 +105,6 @@ pub fn fig5() -> Exhibit {
 }
 
 /// Figure 6: SMT advantage over CSMT, per mix.
-pub fn fig6(scale: u64, par: usize) -> Exhibit {
-    fig6_from(&experiments::fig6(scale, par))
-}
-
-/// Render Figure 6 from precomputed sweep data.
 pub fn fig6_from(d: &experiments::Fig6Data) -> Exhibit {
     let mut t = TextTable::new(&["workload", "4T SMT IPC", "4T CSMT IPC", "SMT advantage"]);
     for (m, smt, csmt, adv) in &d.rows {
@@ -171,13 +155,8 @@ pub fn fig9() -> Exhibit {
     }
 }
 
-/// Figure 10: per-scheme, per-mix IPC.
-pub fn fig10(scale: u64, par: usize) -> Exhibit {
-    fig10_from(&experiments::fig10(scale, par))
-}
-
-/// Render Figure 10 from precomputed sweep data (the same `Fig10Data`
-/// also feeds Figures 11/12 and the headline claims — compute it once).
+/// Figure 10: per-scheme, per-mix IPC (the same `Fig10Data` also feeds
+/// Figures 11/12 and the headline claims).
 pub fn fig10_from(d: &experiments::Fig10Data) -> Exhibit {
     let mut header: Vec<&str> = vec!["scheme"];
     header.extend(d.mixes.iter().copied());
@@ -200,12 +179,8 @@ pub fn fig10_from(d: &experiments::Fig10Data) -> Exhibit {
     }
 }
 
-/// Figures 11 & 12: performance vs cost scatter data.
-pub fn fig11_12(scale: u64, par: usize) -> (Exhibit, Exhibit) {
-    fig11_12_from(&experiments::fig10(scale, par))
-}
-
-/// Render Figures 11 & 12 from precomputed Figure-10 sweep data.
+/// Figures 11 & 12: performance vs cost scatter data, from the Figure-10
+/// sweep.
 pub fn fig11_12_from(perf: &experiments::Fig10Data) -> (Exhibit, Exhibit) {
     let mut t11 = TextTable::new(&["scheme", "IPC", "transistors"]);
     let mut t12 = TextTable::new(&["scheme", "IPC", "gate delays"]);
@@ -229,12 +204,8 @@ pub fn fig11_12_from(perf: &experiments::Fig10Data) -> (Exhibit, Exhibit) {
     )
 }
 
-/// §5.2 headline claims: 2SC3 vs the reference points.
-pub fn headline(scale: u64, par: usize) -> Exhibit {
-    headline_from(&experiments::fig10(scale, par))
-}
-
-/// Render the headline claims from precomputed Figure-10 sweep data.
+/// §5.2 headline claims: 2SC3 vs the reference points, from the
+/// Figure-10 sweep.
 pub fn headline_from(d: &experiments::Fig10Data) -> Exhibit {
     let avg = |n: &str| d.average_of(n).unwrap_or(0.0);
     let sc3 = avg("2SC3");
@@ -263,11 +234,6 @@ pub fn headline_from(d: &experiments::Fig10Data) -> Exhibit {
 }
 
 /// Geometry exhibit (beyond the paper): schemes across machine shapes.
-pub fn geometry(scale: u64, par: usize) -> Exhibit {
-    geometry_from(&experiments::geometry(scale, par))
-}
-
-/// Render the geometry exhibit from precomputed sweep rows.
 pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
     let mut t = TextTable::new(&[
         "machine",
@@ -301,11 +267,6 @@ pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
 
 /// Trace exhibit (beyond the paper): cycle-level decomposition of the
 /// Figure-6 cell pair from full event traces.
-pub fn trace_exhibit(scale: u64, par: usize) -> Exhibit {
-    trace_from(&experiments::trace_exhibit(scale, par))
-}
-
-/// Render the trace exhibit from precomputed per-cell trace rows.
 pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
     let mut t = TextTable::new(&[
         "cell",
@@ -353,11 +314,6 @@ pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
 
 /// Traffic exhibit (beyond the paper): latency vs offered load for the
 /// reference schemes on the 12-job open-system stream.
-pub fn traffic_exhibit(scale: u64, par: usize) -> Exhibit {
-    traffic_from(&experiments::traffic_exhibit(scale, par))
-}
-
-/// Render the traffic exhibit from precomputed per-cell rows.
 pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
     let mut t = TextTable::new(&[
         "scheme",
@@ -404,11 +360,6 @@ pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
 /// Fleet exhibit (beyond the paper): the fleet ladder under one saturating
 /// arrival process — homogeneous scaling plus the dispatcher showdown on
 /// the heterogeneous edge mix.
-pub fn fleet_exhibit(scale: u64, par: usize) -> Exhibit {
-    fleet_from(&experiments::fleet_exhibit(scale, par))
-}
-
-/// Render the fleet exhibit from precomputed per-fleet rows.
 pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
     let mut t = TextTable::new(&[
         "fleet",
@@ -469,6 +420,7 @@ pub fn n_benchmarks() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vliw_sim::plan::Session;
 
     #[test]
     fn static_exhibits_render() {
@@ -484,15 +436,21 @@ mod tests {
 
     #[test]
     fn dynamic_exhibits_render_at_tiny_scale() {
-        let t1 = table1(50_000, 8);
+        let session = Session::with_parallelism(8);
+        let t1 = table1_from(&experiments::table1_rows(
+            &experiments::table1_plan(50_000).run(&session),
+        ));
         assert!(t1.text.contains("colorspace"));
-        let f6 = fig6(50_000, 8);
+        let f6 = fig6_from(&experiments::fig6_data(
+            &experiments::fig6_plan(50_000).run(&session),
+        ));
         assert!(f6.text.contains("Average"));
     }
 
     #[test]
     fn traffic_exhibit_renders_the_load_ladder() {
-        let ex = traffic_exhibit(100_000, 8);
+        let set = experiments::traffic_plan(100_000).run(&Session::with_parallelism(8));
+        let ex = traffic_from(&experiments::traffic_data(&set));
         assert_eq!(ex.id, "traffic");
         assert!(ex.text.contains("Open-system traffic"));
         for load in experiments::TRAFFIC_LOADS {
@@ -506,7 +464,8 @@ mod tests {
 
     #[test]
     fn fleet_exhibit_renders_the_ladder() {
-        let ex = fleet_exhibit(5_000, 8);
+        let set = experiments::fleet_plan(5_000).run(&Session::with_parallelism(8));
+        let ex = fleet_from(&experiments::fleet_data(&set));
         assert_eq!(ex.id, "fleet");
         assert!(ex.text.contains("Fleet dispatch"));
         for fleet in experiments::FLEET_LADDER {

@@ -1,8 +1,8 @@
 //! # vliw-bench — paper-figure regeneration harness
 //!
 //! Formatting, CSV output and the figure drivers behind the `paper`
-//! binary. Every table and figure of the paper has a `render_*` function
-//! in [`figures`] returning both a human-readable text block and
+//! binary. Every table and figure of the paper has a renderer in
+//! [`figures`] returning both a human-readable text block and
 //! machine-readable CSV; the binary writes them to stdout and `results/`.
 
 use std::fmt::Write as _;

@@ -119,3 +119,20 @@ fn golden_telemetry_columns() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--scale 0` would clamp to a full-length run; it is rejected up front
+/// like `--threads 0`, before anything is simulated.
+#[test]
+fn zero_scale_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["--filter", "table1", "--scale", "0"])
+        .output()
+        .expect("run paper");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--scale needs a positive number"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing runs: {:?}", out.stdout);
+}

@@ -4,15 +4,16 @@
 //! the declarative [`Plan`] (which schemes × workloads × memory models at
 //! which scale), a `*_data`/`*_rows` function projects the executed
 //! [`ResultSet`] into the exhibit's shape by *keyed lookup* (no positional
-//! index arithmetic), and a convenience wrapper runs both. `vliw-bench`'s
-//! `paper` binary formats the shapes and can serialize the raw result sets
-//! via [`ResultSet::to_json`]/[`ResultSet::to_csv`].
+//! index arithmetic): `table1_rows(&table1_plan(scale).run(&session))`.
+//! `vliw-bench`'s `paper` binary formats the shapes and can serialize the
+//! raw result sets via [`ResultSet::to_json`]/[`ResultSet::to_csv`].
 //!
 //! All drivers take a `scale` divisor (1 = the paper's full
 //! 100M-instruction runs).
 
 use crate::plan::{
-    FleetSpec, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec, WorkloadRef,
+    CellQuery, FleetSpec, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec,
+    WorkloadRef,
 };
 use crate::sched::SchedulerSpec;
 use std::sync::Arc;
@@ -65,12 +66,6 @@ pub fn table1_rows(set: &ResultSet) -> Vec<Table1Row> {
         .collect()
 }
 
-/// Regenerate Table 1: single-thread IPC of every benchmark with real and
-/// perfect memory.
-pub fn table1(scale: u64, parallelism: usize) -> Vec<Table1Row> {
-    table1_rows(&table1_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 /// Figure 4 data: per-mix and average IPC of SMT with 1, 2 and 4 hardware
 /// threads.
 #[derive(Debug, Clone)]
@@ -120,11 +115,6 @@ pub fn fig4_data(set: &ResultSet) -> Fig4Data {
     Fig4Data { mixes, ipc }
 }
 
-/// Regenerate Figure 4.
-pub fn fig4(scale: u64, parallelism: usize) -> Fig4Data {
-    fig4_data(&fig4_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 /// Figure 6 data: SMT's advantage over CSMT per mix, in percent.
 #[derive(Debug, Clone)]
 pub struct Fig6Data {
@@ -162,11 +152,6 @@ pub fn fig6_data(set: &ResultSet) -> Fig6Data {
         })
         .collect();
     Fig6Data { rows }
-}
-
-/// Regenerate Figure 6 (4-thread SMT vs 4-thread CSMT).
-pub fn fig6(scale: u64, parallelism: usize) -> Fig6Data {
-    fig6_data(&fig6_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// Figure 10 data: IPC of every scheme on every mix.
@@ -235,11 +220,6 @@ pub fn fig10_data(set: &ResultSet) -> Fig10Data {
     }
 }
 
-/// Regenerate Figure 10.
-pub fn fig10(scale: u64, parallelism: usize) -> Fig10Data {
-    fig10_data(&fig10_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 /// Scheme used by the scheduler-ablation sweep: 2-thread SMT (`1S`), so
 /// the nine 4-thread mixes oversubscribe the contexts and the OS policy
 /// actually decides who runs.
@@ -247,8 +227,8 @@ pub const SCHED_ABLATION_SCHEME: &str = "1S";
 
 /// The scheduler-ablation sweep (beyond the paper): every built-in OS
 /// policy over every Table-2 mix on the oversubscribed
-/// [`SCHED_ABLATION_SCHEME`] machine. Read back per-policy with
-/// [`ResultSet::ipc_sched`] / [`ResultSet::scheduler_means`].
+/// [`SCHED_ABLATION_SCHEME`] machine. Read back per-policy with a
+/// [`CellQuery`] naming the scheduler, or [`ResultSet::means_by`].
 pub fn sched_ablation_plan(scale: u64) -> Plan {
     Plan::new()
         .scheme(SCHED_ABLATION_SCHEME)
@@ -260,7 +240,7 @@ pub fn sched_ablation_plan(scale: u64) -> Plan {
 /// Project an executed [`sched_ablation_plan`] sweep into per-policy mean
 /// IPC, plan order.
 pub fn sched_ablation_means(set: &ResultSet) -> Vec<(SchedulerSpec, f64)> {
-    set.scheduler_means(SCHED_ABLATION_SCHEME, MemoryModel::Real)
+    set.means_by(&CellQuery::default().scheme(SCHED_ABLATION_SCHEME))
 }
 
 /// Schemes of the geometry sweep: the paper's reference points (1-thread,
@@ -308,11 +288,12 @@ pub fn geometry_data(set: &ResultSet) -> Vec<GeometryRow> {
             let cost = set
                 .merge_cost(scheme.name(), machine)
                 .expect("geometry grid prices every scheme x machine");
+            let q = CellQuery::default().scheme(scheme.name()).machine(machine);
             rows.push(GeometryRow {
                 machine,
                 scheme: scheme.name().to_string(),
                 mean_ipc: set
-                    .mean_ipc_machine(scheme.name(), machine, MemoryModel::Real)
+                    .mean(&q.memory(MemoryModel::Real))
                     .expect("geometry grid covers every scheme x machine"),
                 transistors: cost.transistors,
                 gate_delays: cost.gate_delays,
@@ -321,11 +302,6 @@ pub fn geometry_data(set: &ResultSet) -> Vec<GeometryRow> {
         }
     }
     rows
-}
-
-/// Regenerate the geometry exhibit.
-pub fn geometry(scale: u64, parallelism: usize) -> Vec<GeometryRow> {
-    geometry_data(&geometry_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// One row of the trace exhibit: the cycle-level decomposition of one
@@ -424,11 +400,6 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
         rows,
     };
     (set, data)
-}
-
-/// Regenerate the trace exhibit.
-pub fn trace_exhibit(scale: u64, parallelism: usize) -> TraceData {
-    trace_data(&trace_plan(scale), &Session::with_parallelism(parallelism)).1
 }
 
 /// Schemes of the traffic exhibit: the paper's reference points (1-thread,
@@ -530,8 +501,11 @@ pub fn traffic_data(set: &ResultSet) -> TrafficData {
     let mut rows = Vec::new();
     for scheme in set.schemes() {
         for &traffic in set.traffics() {
+            let q = CellQuery::default()
+                .scheme(scheme.name())
+                .workload("LLHH-x3");
             let r = set
-                .get_traffic(scheme.name(), "LLHH-x3", traffic, MemoryModel::Real)
+                .cell(&q.traffic(traffic).memory(MemoryModel::Real))
                 .expect("traffic grid covers every scheme x load");
             let t = &r.stats.traffic;
             rows.push(TrafficRow {
@@ -553,11 +527,6 @@ pub fn traffic_data(set: &ResultSet) -> TrafficData {
         scale: set.scale(),
         rows,
     }
-}
-
-/// Regenerate the traffic exhibit.
-pub fn traffic_exhibit(scale: u64, parallelism: usize) -> TrafficData {
-    traffic_data(&traffic_plan(scale).run(&Session::with_parallelism(parallelism)))
 }
 
 /// Scheme of the fleet exhibit: the headline hybrid, judged at fleet scale.
@@ -652,8 +621,11 @@ pub fn fleet_data(set: &ResultSet) -> FleetData {
     let mut rows = Vec::new();
     for scheme in set.schemes() {
         for fleet in set.fleets() {
+            let q = CellQuery::default()
+                .scheme(scheme.name())
+                .workload("LLHH-x3");
             let r = set
-                .get_fleet(scheme.name(), "LLHH-x3", fleet, MemoryModel::Real)
+                .cell(&q.fleet(fleet).memory(MemoryModel::Real))
                 .expect("fleet grid covers every scheme x fleet");
             let t = &r.stats.traffic;
             let fs = r
@@ -682,11 +654,6 @@ pub fn fleet_data(set: &ResultSet) -> FleetData {
     }
 }
 
-/// Regenerate the fleet exhibit.
-pub fn fleet_exhibit(scale: u64, parallelism: usize) -> FleetData {
-    fleet_data(&fleet_plan(scale).run(&Session::with_parallelism(parallelism)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,7 +663,7 @@ mod tests {
 
     #[test]
     fn table1_smoke() {
-        let rows = table1(20_000, 4);
+        let rows = table1_rows(&table1_plan(20_000).run(&Session::with_parallelism(4)));
         assert_eq!(rows.len(), 12);
         for r in &rows {
             assert!(
@@ -710,7 +677,7 @@ mod tests {
 
     #[test]
     fn fig4_smoke_ordering() {
-        let d = fig4(20_000, 4);
+        let d = fig4_data(&fig4_plan(20_000).run(&Session::with_parallelism(4)));
         let [st, smt2, smt4] = d.averages();
         assert!(smt2 > st, "2T SMT {smt2:.2} must beat 1T {st:.2}");
         assert!(smt4 > smt2, "4T SMT {smt4:.2} must beat 2T {smt2:.2}");
@@ -718,7 +685,7 @@ mod tests {
 
     #[test]
     fn fig6_smoke_smt_wins() {
-        let d = fig6(20_000, 4);
+        let d = fig6_data(&fig6_plan(20_000).run(&Session::with_parallelism(4)));
         assert!(d.average() > 0.0, "SMT must beat CSMT on average");
     }
 
@@ -734,7 +701,8 @@ mod tests {
 
     #[test]
     fn trace_exhibit_decomposes_both_schemes() {
-        let d = trace_exhibit(50_000, 2);
+        let traced = |scale| trace_data(&trace_plan(scale), &Session::with_parallelism(2)).1;
+        let d = traced(50_000);
         assert_eq!(d.scale, 50_000, "above the floor, scale passes through");
         assert_eq!(d.rows.len(), 2);
         assert_eq!(d.rows[0].label, "3SSS");
@@ -750,7 +718,7 @@ mod tests {
         }
         // The floor engages below it.
         assert_eq!(trace_plan(1).jobs().len(), 2);
-        assert_eq!(trace_exhibit(u64::MAX, 2).scale, u64::MAX);
+        assert_eq!(traced(u64::MAX).scale, u64::MAX);
     }
 
     #[test]
@@ -787,7 +755,8 @@ mod tests {
 
     #[test]
     fn traffic_exhibit_sweeps_the_load_ladder() {
-        let d = traffic_exhibit(100_000, 4);
+        let run = |scale| traffic_data(&traffic_plan(scale).run(&Session::with_parallelism(4)));
+        let d = run(100_000);
         assert_eq!(d.scale, 100_000, "above the floor, scale passes through");
         assert_eq!(d.rows.len(), TRAFFIC_SCHEMES.len() * TRAFFIC_LOADS.len());
         for r in &d.rows {
@@ -819,12 +788,12 @@ mod tests {
         }
         // The floor engages below it.
         assert_eq!(traffic_plan(1).jobs().len(), 12);
-        assert_eq!(traffic_exhibit(u64::MAX, 2).scale, u64::MAX);
+        assert_eq!(run(u64::MAX).scale, u64::MAX);
     }
 
     #[test]
     fn fleet_exhibit_climbs_the_ladder() {
-        let d = fleet_exhibit(5_000, 4);
+        let d = fleet_data(&fleet_plan(5_000).run(&Session::with_parallelism(4)));
         assert_eq!(d.scale, FLEET_SCALE_FLOOR);
         assert_eq!(d.rows.len(), FLEET_LADDER.len());
         for (r, spec) in d.rows.iter().zip(FLEET_LADDER) {

@@ -29,6 +29,7 @@ use std::sync::Mutex;
 use vliw_core::MergeStats;
 use vliw_fleet::{FleetSpec, FleetStats, LaneView, MachineLaneStats};
 use vliw_mem::CacheStats;
+use vliw_telemetry::NullTelemetry;
 use vliw_trace::{StallBreakdown, StallKind, Trace, TraceEvent};
 use vliw_traffic::{ArrivalProcess, LatencySummary, TrafficStats};
 
@@ -119,7 +120,7 @@ fn run_fleet_inner(
     // member, so the dispatcher's view of a thread does not depend on
     // where previous threads were routed.
     let hints: Vec<u32> = (0..n)
-        .map(|i| width_hint(&workload.image_for(i, cache, &cfg.machine).1))
+        .map(|i| width_hint(&workload.image_for(i, cache, &cfg.machine, &NullTelemetry).1))
         .collect();
     let mut dispatcher = fleet.dispatcher.build();
     let mut routed: Vec<u64> = vec![0; lanes.len()];
@@ -157,7 +158,7 @@ fn run_fleet_inner(
                     to: to as u32,
                 });
             }
-            let image = workload.image_for(i, cache, &lane_cfgs[to].machine);
+            let image = workload.image_for(i, cache, &lane_cfgs[to].machine, &NullTelemetry);
             let t = SoftThread::new(&image.0, image.1.clone(), i as u64, cfg.seed);
             lanes[to].lock().expect("lane mutex").lane_inject(t);
         }

@@ -27,35 +27,28 @@
 //! (`Arc<str>`) names, so custom merge schemes and generated workloads
 //! participate exactly like the paper's catalog and Table-2 mixes.
 //!
-//! Besides the memory-model axis, plans can sweep the OS scheduling
-//! policy ([`Plan::schedulers`], a [`crate::sched::SchedulerSpec`] per
-//! cell, looked up via the `*_sched` accessors) and the machine geometry
-//! ([`Plan::machines`], a [`MachineSpec`] per cell — named presets like
-//! `paper-4x4`/`2x8`/`8x2`/`4x4-lite` or `CxI[+muls+mems]` grammar specs
-//! — looked up via the `*_machine` accessors; compiled images are cached
-//! per `(benchmark, machine)`, so geometries never share code). The grid
-//! expands schemes ▸ workloads ▸ schedulers ▸ machines ▸ memory. A plan
-//! that never names a scheduler or machine runs — and serializes — exactly
-//! as before under the defaults
-//! ([`crate::sched::SchedulerSpec::PaperRandom`], the paper's §5.1
-//! machine); naming one adds a `scheduler`/`machine` column/field to the
-//! CSV/JSON exhibits.
+//! Beyond schemes and workloads, a plan can sweep five optional axes, each
+//! with a default it runs under when the plan names no value: the OS
+//! scheduling policy ([`Plan::schedulers`], default
+//! [`SchedulerSpec::PaperRandom`]), the machine geometry
+//! ([`Plan::machines`], default the paper's §5.1 4×4 machine; images are
+//! compiled per `(benchmark, machine)`, so geometries never share code), a
+//! fleet of machines behind a dispatcher ([`Plan::fleets`], default one
+//! plain machine), the arrival process ([`Plan::arrivals`], default
+//! closed) and the memory model ([`Plan::axes`], default real). The grid
+//! expands schemes ▸ workloads ▸ schedulers ▸ machines ▸ fleets ▸ traffic
+//! ▸ memory, row-major.
 //!
-//! Plans can also sweep the arrival process ([`Plan::arrivals`], a
-//! [`TrafficSpec`] per cell — `closed`, `poisson:RATE`,
-//! `bursty:RATE:LEN:FACTOR`, `diurnal:RATE:PEAK:PERIOD` — looked up via
-//! the `*_traffic` accessors). The grid then expands schemes ▸ workloads
-//! ▸ schedulers ▸ machines ▸ traffic ▸ memory. Like the other optional
-//! axes, a plan that never names an arrival process runs closed with
-//! unchanged serialization bytes; an explicit axis adds a `traffic`
-//! column/field *and* the open-system metric columns (offered /
-//! completed / shed counts, sojourn-time quantiles, mean queue depth) to
-//! the exhibits.
-//!
-//! With a machine axis in play, [`ResultSet`] also prices each cell's
-//! merge-control hardware for its *actual* geometry via `vliw-hwcost`
-//! ([`ResultSet::merge_cost`], [`ResultSet::ipc_per_area`]), so
-//! area/performance trade-offs sweep alongside IPC.
+//! Every axis is looked up the same way: a [`CellQuery`] names values on
+//! any axes and the unnamed ones resolve to their first value, and
+//! [`ResultSet::mean`] / [`ResultSet::means_by`] average IPC over the
+//! workloads. Exports follow one table of column groups: naming a
+//! scheduler, machine, fleet or arrival process adds that axis's
+//! column/field (and its metrics) to the CSV/JSON, and metered runs
+//! ([`Plan::run_metered`]) add the telemetry columns; a plan that names
+//! none serializes in the historical byte format. [`ResultSet::merge_cost`]
+//! and [`ResultSet::ipc_per_area`] price each scheme's merge-control
+//! hardware for its actual geometry via `vliw-hwcost`.
 
 use crate::config::SimConfig;
 use crate::core::CoreModel;
@@ -65,11 +58,11 @@ use crate::sched::SchedulerSpec;
 use crate::stats::ThreadStats;
 use crate::thread::SoftThread;
 use rayon::prelude::*;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::Arc;
 use vliw_core::{catalog, MergeScheme, PriorityPolicy};
 use vliw_hwcost::{scheme_cost, SchemeCost};
-use vliw_telemetry::Telemetry;
+use vliw_telemetry::{NullTelemetry, Telemetry};
 use vliw_trace::{Trace, TraceSpec};
 use vliw_workloads::{benchmark, mixes, BenchmarkSpec, WorkloadMix};
 
@@ -279,47 +272,30 @@ impl WorkloadRef {
         self.members.iter().map(|m| m.name()).collect()
     }
 
-    /// Compile member `idx` for an explicit machine geometry (the fleet
-    /// driver compiles each member for the machine it is routed to, not
-    /// the plan's reference machine).
-    pub(crate) fn image_for(
+    /// Compile member `idx` for `machine` through the shared cache. The
+    /// fleet driver compiles each member for the machine it is routed to,
+    /// not the plan's reference machine. `t` meters compile/verify wall
+    /// time and live probe hits (free under [`NullTelemetry`]).
+    pub(crate) fn image_for<T: Telemetry>(
         &self,
         idx: usize,
         cache: &ImageCache,
         machine: &vliw_isa::MachineConfig,
+        t: &T,
     ) -> crate::runner::CachedImage {
         match &self.members[idx] {
-            Member::Named(n) => cache.get(n, machine),
-            Member::Custom(s) => cache.get_spec(s, machine),
+            Member::Named(n) => cache.get_metered(n, machine, t),
+            Member::Custom(s) => cache.get_spec_metered(s, machine, t),
         }
         .expect("plan cells are validated up front")
     }
 
     /// Instantiate the software threads (worker-side; compile results come
     /// from the shared cache).
-    fn threads(&self, cache: &ImageCache, cfg: &SimConfig) -> Vec<SoftThread> {
-        self.threads_metered(cache, cfg, &vliw_telemetry::NullTelemetry)
-    }
-
-    /// [`WorkloadRef::threads`] through the cache's metered lookups, so
-    /// compile/verify wall time and live probe hits flow into `t`'s timing
-    /// class. Monomorphizes to `threads` under
-    /// [`vliw_telemetry::NullTelemetry`].
-    fn threads_metered<T: Telemetry>(
-        &self,
-        cache: &ImageCache,
-        cfg: &SimConfig,
-        t: &T,
-    ) -> Vec<SoftThread> {
-        self.members
-            .iter()
-            .enumerate()
-            .map(|(tid, m)| {
-                let entry = match m {
-                    Member::Named(n) => cache.get_metered(n, &cfg.machine, t),
-                    Member::Custom(s) => cache.get_spec_metered(s, &cfg.machine, t),
-                }
-                .expect("plan cells are validated up front");
+    fn threads<T: Telemetry>(&self, cache: &ImageCache, cfg: &SimConfig, t: &T) -> Vec<SoftThread> {
+        (0..self.members.len())
+            .map(|tid| {
+                let entry = self.image_for(tid, cache, &cfg.machine, t);
                 SoftThread::new(&entry.0, entry.1.clone(), tid as u64, cfg.seed)
             })
             .collect()
@@ -417,6 +393,142 @@ impl Default for Session {
     }
 }
 
+/// One optional axis of the grid: the values a plan named, or its default
+/// alone. Naming any value (`explicit`) is what adds the axis's column
+/// group to the exports.
+#[derive(Debug, Clone)]
+struct Axis<T> {
+    values: Vec<T>,
+    explicit: bool,
+}
+
+impl<T> Axis<T> {
+    fn implicit(default: T) -> Self {
+        Axis {
+            values: vec![default],
+            explicit: false,
+        }
+    }
+
+    /// Name `value` on the axis: the first name replaces the default, and
+    /// a value `same` as one already named is ignored.
+    fn add(&mut self, value: T, same: impl Fn(&T, &T) -> bool) {
+        if !self.explicit {
+            self.values.clear();
+            self.explicit = true;
+        }
+        if !self.values.iter().any(|v| same(v, &value)) {
+            self.values.push(value);
+        }
+    }
+}
+
+/// The grid a [`Plan`] expands and its [`ResultSet`] is keyed by: seven
+/// axes, row-major (schemes outermost, memory models innermost), addressed
+/// by one mixed-radix index.
+#[derive(Debug, Clone)]
+struct Grid {
+    schemes: Vec<SchemeRef>,
+    workloads: Vec<WorkloadRef>,
+    schedulers: Axis<SchedulerSpec>,
+    machines: Axis<MachineSpec>,
+    /// `None` is the default: a plain single-machine cell.
+    fleets: Axis<Option<FleetSpec>>,
+    traffics: Axis<TrafficSpec>,
+    memory: Axis<MemoryModel>,
+}
+
+impl Grid {
+    fn new() -> Self {
+        Grid {
+            schemes: Vec::new(),
+            workloads: Vec::new(),
+            schedulers: Axis::implicit(SchedulerSpec::default()),
+            machines: Axis::implicit(MachineSpec::Paper4x4),
+            fleets: Axis::implicit(None),
+            traffics: Axis::implicit(TrafficSpec::Closed),
+            memory: Axis::implicit(MemoryModel::Real),
+        }
+    }
+
+    /// Axis lengths in grid order.
+    fn radices(&self) -> [usize; 7] {
+        [
+            self.schemes.len(),
+            self.workloads.len(),
+            self.schedulers.values.len(),
+            self.machines.values.len(),
+            self.fleets.values.len(),
+            self.traffics.values.len(),
+            self.memory.values.len(),
+        ]
+    }
+
+    fn len(&self) -> usize {
+        self.radices().iter().product()
+    }
+
+    /// The key of cell `i`.
+    fn key(&self, mut i: usize) -> JobKey {
+        let mut d = [0; 7];
+        for (digit, radix) in d.iter_mut().zip(self.radices()).rev() {
+            *digit = i % radix;
+            i /= radix;
+        }
+        JobKey {
+            scheme: self.schemes[d[0]].clone(),
+            workload: self.workloads[d[1]].clone(),
+            scheduler: self.schedulers.values[d[2]],
+            machine: self.machines.values[d[3]],
+            fleet: self.fleets.values[d[4]].clone(),
+            traffic: self.traffics.values[d[5]],
+            memory: self.memory.values[d[6]],
+        }
+    }
+
+    /// The index of the cell `q` names, `None` when a named value is not
+    /// on its axis.
+    fn find(&self, q: &CellQuery) -> Option<usize> {
+        let digits = [
+            digit(&self.schemes, q.scheme, |s, n| s.name() == *n)?,
+            digit(&self.workloads, q.workload, |w, n| w.name() == *n)?,
+            digit(&self.schedulers.values, q.scheduler, PartialEq::eq)?,
+            digit(&self.machines.values, q.machine, PartialEq::eq)?,
+            digit(&self.fleets.values, q.fleet, |f, x| f.as_ref() == Some(*x))?,
+            digit(&self.traffics.values, q.traffic, PartialEq::eq)?,
+            digit(&self.memory.values, q.memory, PartialEq::eq)?,
+        ];
+        Some(
+            self.radices()
+                .iter()
+                .zip(digits)
+                .fold(0, |i, (radix, d)| i * radix + d),
+        )
+    }
+
+    /// The column groups this grid's exports carry (`metered` adds the
+    /// telemetry group).
+    fn shape(&self, metered: bool) -> ColumnShape {
+        let groups = [
+            (self.schedulers.explicit, SCHEDULER),
+            (self.machines.explicit, MACHINE),
+            (self.fleets.explicit, FLEET),
+            (self.traffics.explicit, TRAFFIC),
+            (metered, TELEMETRY),
+        ];
+        ColumnShape(groups.iter().filter(|g| g.0).fold(0, |bits, g| bits | g.1))
+    }
+}
+
+/// The position on one axis of the value `want` names (`None` = the
+/// first value).
+fn digit<T, K>(values: &[T], want: Option<K>, is: impl Fn(&T, &K) -> bool) -> Option<usize> {
+    match want {
+        Some(k) => values.iter().position(|v| is(v, &k)),
+        None => (!values.is_empty()).then_some(0),
+    }
+}
+
 /// A declarative experiment plan: the scheme × workload × memory-model grid
 /// of one exhibit, plus run-length and policy knobs.
 ///
@@ -425,13 +537,7 @@ impl Default for Session {
 /// innermost) that the returned [`ResultSet`] preserves.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    schemes: Vec<SchemeRef>,
-    workloads: Vec<WorkloadRef>,
-    schedulers: Vec<SchedulerSpec>,
-    machines: Vec<MachineSpec>,
-    fleets: Vec<FleetSpec>,
-    traffics: Vec<TrafficSpec>,
-    axes: Vec<MemoryModel>,
+    grid: Grid,
     scale: u64,
     priority: PriorityPolicy,
     seed: Option<u64>,
@@ -445,13 +551,7 @@ impl Plan {
     /// runs), round-robin priority.
     pub fn new() -> Self {
         Plan {
-            schemes: Vec::new(),
-            workloads: Vec::new(),
-            schedulers: Vec::new(),
-            machines: Vec::new(),
-            fleets: Vec::new(),
-            traffics: Vec::new(),
-            axes: Vec::new(),
+            grid: Grid::new(),
             scale: 20,
             priority: PriorityPolicy::RoundRobin,
             seed: None,
@@ -462,7 +562,7 @@ impl Plan {
 
     /// Add one scheme (name, `MergeScheme`, or `SchemeRef`).
     pub fn scheme(mut self, scheme: impl Into<SchemeRef>) -> Self {
-        self.schemes.push(scheme.into());
+        self.grid.schemes.push(scheme.into());
         self
     }
 
@@ -472,14 +572,16 @@ impl Plan {
         I: IntoIterator<Item = S>,
         S: Into<SchemeRef>,
     {
-        self.schemes.extend(schemes.into_iter().map(Into::into));
+        self.grid
+            .schemes
+            .extend(schemes.into_iter().map(Into::into));
         self
     }
 
     /// Add one workload (mix/benchmark name, `&WorkloadMix`, spec, or
     /// `WorkloadRef`).
     pub fn workload(mut self, workload: impl Into<WorkloadRef>) -> Self {
-        self.workloads.push(workload.into());
+        self.grid.workloads.push(workload.into());
         self
     }
 
@@ -489,7 +591,9 @@ impl Plan {
         I: IntoIterator<Item = W>,
         W: Into<WorkloadRef>,
     {
-        self.workloads.extend(workloads.into_iter().map(Into::into));
+        self.grid
+            .workloads
+            .extend(workloads.into_iter().map(Into::into));
         self
     }
 
@@ -500,10 +604,7 @@ impl Plan {
     /// serialization bytes; an explicit axis adds a `scheduler`
     /// column/field to the exhibits.
     pub fn scheduler(mut self, scheduler: impl Into<SchedulerSpec>) -> Self {
-        let scheduler = scheduler.into();
-        if !self.schedulers.contains(&scheduler) {
-            self.schedulers.push(scheduler);
-        }
+        self.grid.schedulers.add(scheduler.into(), PartialEq::eq);
         self
     }
 
@@ -536,9 +637,9 @@ impl Plan {
         // invalid customs) and gives label-level dedup: two spec spellings
         // of one geometry would collide as serialized keys.
         let _ = machine.config();
-        if !self.machines.iter().any(|m| m.label() == machine.label()) {
-            self.machines.push(machine);
-        }
+        self.grid
+            .machines
+            .add(machine, |a, b| a.label() == b.label());
         self
     }
 
@@ -564,9 +665,9 @@ impl Plan {
     /// from the string grammar:
     /// `"paper-4x4*2/2x8@least-queued".parse().unwrap()`.
     pub fn fleet(mut self, fleet: FleetSpec) -> Self {
-        if !self.fleets.iter().any(|f| f.label() == fleet.label()) {
-            self.fleets.push(fleet);
-        }
+        self.grid.fleets.add(Some(fleet), |a, b| {
+            a.as_ref().map(FleetSpec::label) == b.as_ref().map(FleetSpec::label)
+        });
         self
     }
 
@@ -586,9 +687,7 @@ impl Plan {
     /// open-system metric columns to the exhibits. Specs usually come
     /// from the string grammar: `"poisson:0.02".parse().unwrap()`.
     pub fn arrival(mut self, traffic: TrafficSpec) -> Self {
-        if !self.traffics.contains(&traffic) {
-            self.traffics.push(traffic);
-        }
+        self.grid.traffics.add(traffic, PartialEq::eq);
         self
     }
 
@@ -604,9 +703,7 @@ impl Plan {
     /// Add a memory-model axis (duplicates are ignored). A plan with no
     /// explicit axis runs with real memory only.
     pub fn axis(mut self, axis: MemoryModel) -> Self {
-        if !self.axes.contains(&axis) {
-            self.axes.push(axis);
-        }
+        self.grid.memory.add(axis, PartialEq::eq);
         self
     }
 
@@ -658,94 +755,17 @@ impl Plan {
         self
     }
 
-    /// The memory axes this plan actually sweeps.
-    fn effective_axes(&self) -> Vec<MemoryModel> {
-        if self.axes.is_empty() {
-            vec![MemoryModel::Real]
-        } else {
-            self.axes.clone()
-        }
-    }
-
-    /// The scheduler axis this plan actually sweeps.
-    fn effective_schedulers(&self) -> Vec<SchedulerSpec> {
-        if self.schedulers.is_empty() {
-            vec![SchedulerSpec::default()]
-        } else {
-            self.schedulers.clone()
-        }
-    }
-
-    /// The machine axis this plan actually sweeps.
-    fn effective_machines(&self) -> Vec<MachineSpec> {
-        if self.machines.is_empty() {
-            vec![MachineSpec::Paper4x4]
-        } else {
-            self.machines.clone()
-        }
-    }
-
-    /// The fleet axis this plan actually sweeps: `[None]` (plain
-    /// single-machine cells) when the plan named no fleet.
-    fn effective_fleets(&self) -> Vec<Option<FleetSpec>> {
-        if self.fleets.is_empty() {
-            vec![None]
-        } else {
-            self.fleets.iter().cloned().map(Some).collect()
-        }
-    }
-
-    /// The traffic axis this plan actually sweeps.
-    fn effective_traffics(&self) -> Vec<TrafficSpec> {
-        if self.traffics.is_empty() {
-            vec![TrafficSpec::Closed]
-        } else {
-            self.traffics.clone()
-        }
+    /// The column groups this plan's result sets export (before the
+    /// telemetry group a metered run adds).
+    pub fn shape(&self) -> ColumnShape {
+        self.grid.shape(false)
     }
 
     /// Expand the plan into its deterministic job grid, row-major: schemes
     /// outermost, then workloads, then schedulers, then machines, then
     /// fleets, then traffic, memory models innermost.
     pub fn jobs(&self) -> Vec<JobKey> {
-        let scheds = self.effective_schedulers();
-        let machines = self.effective_machines();
-        let fleets = self.effective_fleets();
-        let traffics = self.effective_traffics();
-        let axes = self.effective_axes();
-        let mut out = Vec::with_capacity(
-            self.schemes.len()
-                * self.workloads.len()
-                * scheds.len()
-                * machines.len()
-                * fleets.len()
-                * traffics.len()
-                * axes.len(),
-        );
-        for scheme in &self.schemes {
-            for workload in &self.workloads {
-                for &scheduler in &scheds {
-                    for &machine in &machines {
-                        for fleet in &fleets {
-                            for &traffic in &traffics {
-                                for &memory in &axes {
-                                    out.push(JobKey {
-                                        scheme: scheme.clone(),
-                                        workload: workload.clone(),
-                                        scheduler,
-                                        machine,
-                                        fleet: fleet.clone(),
-                                        traffic,
-                                        memory,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        (0..self.grid.len()).map(|i| self.grid.key(i)).collect()
     }
 
     /// The simulation configuration of one job.
@@ -771,13 +791,7 @@ impl Plan {
     /// Results are deterministic and ordered by the grid regardless of the
     /// session's worker count.
     pub fn run(&self, session: &Session) -> ResultSet {
-        self.run_with(session.cache(), session.parallelism())
-    }
-
-    /// Run the grid against an explicit cache and worker count (the
-    /// lower-level form [`runner::run_sweep`] also uses).
-    pub fn run_with(&self, cache: &ImageCache, parallelism: usize) -> ResultSet {
-        self.run_metered_with(cache, parallelism, &vliw_telemetry::NullTelemetry)
+        self.run_metered(session, &NullTelemetry)
     }
 
     /// [`Plan::run`] with harness telemetry: per-cell wall time and the
@@ -787,20 +801,12 @@ impl Plan {
     /// across worker counts and core models. The returned set marks its
     /// telemetry axis explicit, which gates the cache/trace metric
     /// columns in CSV/JSON exactly like the other optional axes.
+    ///
+    /// With [`NullTelemetry`] this *is* [`Plan::run`] (every emission site
+    /// monomorphizes away — differentially benchmarked in
+    /// `benches/telemetry.rs`).
     pub fn run_metered<T: Telemetry>(&self, session: &Session, t: &T) -> ResultSet {
-        self.run_metered_with(session.cache(), session.parallelism(), t)
-    }
-
-    /// [`Plan::run_metered`] against an explicit cache and worker count.
-    /// With [`vliw_telemetry::NullTelemetry`] this *is* [`Plan::run_with`]
-    /// (every emission site monomorphizes away — differentially
-    /// benchmarked in `benches/telemetry.rs`).
-    pub fn run_metered_with<T: Telemetry>(
-        &self,
-        cache: &ImageCache,
-        parallelism: usize,
-        t: &T,
-    ) -> ResultSet {
+        let (cache, parallelism) = (session.cache(), session.parallelism());
         self.validate();
         crate::metrics::register_schema(t);
         let jobs = self.jobs();
@@ -817,7 +823,7 @@ impl Plan {
         let refs: Vec<&JobKey> = jobs.iter().collect();
         let mut results = runner::run_jobs_metered(
             refs,
-            |key| self.run_cell_metered(cache, key, t),
+            |key| self.run_cell(cache, key, t, false).0,
             parallelism,
             t,
             cache,
@@ -833,7 +839,7 @@ impl Plan {
             let refs: Vec<&RunResult> = results.iter().collect();
             crate::metrics::harvest(&refs, t);
         }
-        self.result_set_telemetry(results, T::ENABLED)
+        self.result_set(results, T::ENABLED)
     }
 
     /// Statically attribute image-cache economics to cells: walk the grid
@@ -898,7 +904,7 @@ impl Plan {
                     .expect("simulation thread pool");
                 pool.install(|| {
                     (0..n).collect::<Vec<usize>>().par_iter().for_each(|&i| {
-                        let (result, trace) = self.run_cell_traced(cache, &jobs[i]);
+                        let (result, trace) = self.run_cell(cache, &jobs[i], &NullTelemetry, true);
                         // The consumer only hangs up early on panic; drop
                         // the cell and let the scope propagate it.
                         let _ = tx.lock().send((i, result, trace));
@@ -931,7 +937,7 @@ impl Plan {
         // Attributed after the streaming hooks ran: cache economics are a
         // grid property, not a trace property.
         self.attribute_cache(&jobs, &mut results);
-        self.result_set(results)
+        self.result_set(results, false)
     }
 
     /// Run *one* cell of the grid with tracing, returning its result and
@@ -941,23 +947,24 @@ impl Plan {
     /// plan's axes works. Sink choice follows [`Plan::trace`] exactly like
     /// [`Plan::run_traced`].
     pub fn trace_cell(&self, session: &Session, key: &JobKey) -> (RunResult, Trace) {
-        self.run_cell_traced(session.cache(), key)
+        self.run_cell(session.cache(), key, &NullTelemetry, true)
     }
 
     /// Grid-level invariants shared by every run entry point.
     fn validate(&self) {
-        assert!(!self.schemes.is_empty(), "plan has no schemes");
-        assert!(!self.workloads.is_empty(), "plan has no workloads");
+        let (schemes, workloads) = (&self.grid.schemes, &self.grid.workloads);
+        assert!(!schemes.is_empty(), "plan has no schemes");
+        assert!(!workloads.is_empty(), "plan has no workloads");
         // Names are the lookup keys: a duplicate would make its later grid
         // cells unreachable by key and double-count in the aggregations.
-        assert_unique("scheme", self.schemes.iter().map(SchemeRef::name));
-        assert_unique("workload", self.workloads.iter().map(WorkloadRef::name));
+        assert_unique("scheme", schemes.iter().map(SchemeRef::name));
+        assert_unique("workload", workloads.iter().map(WorkloadRef::name));
         // Custom specs sharing a name across workloads must be identical:
         // the image cache is keyed by name, so differing knobs would make a
         // cell's result depend on which rayon worker compiles first.
         let mut custom: std::collections::HashMap<&str, &BenchmarkSpec> =
             std::collections::HashMap::new();
-        for w in &self.workloads {
+        for w in workloads {
             for m in w.members.iter() {
                 if let Member::Custom(s) = m {
                     if let Some(prev) = custom.insert(&s.name, s) {
@@ -973,107 +980,62 @@ impl Plan {
         }
     }
 
-    /// Execute one cell untraced (the zero-cost monomorphized path).
+    /// Execute one cell. `t` meters the compile and simulate shares of
+    /// its wall time (free under [`NullTelemetry`]); with `traced` the
+    /// cell's [`Trace`] is recorded too, otherwise it comes back empty.
     ///
     /// Fleet cells run single-threaded internally (`parallelism = 1`):
     /// the plan's rayon fan-out is *across* cells, and nesting worker
-    /// pools would oversubscribe without changing any output byte.
-    fn run_cell(&self, cache: &ImageCache, key: &JobKey) -> RunResult {
-        let cfg = self.config_for(key);
-        let stats = match &key.fleet {
-            Some(fleet) => crate::fleet::run_fleet(cache, &cfg, fleet, &key.workload, 1),
-            None => {
-                let threads = key.workload.threads(cache, &cfg);
-                Machine::new(&cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread")
-                    .run()
-            }
-        };
-        RunResult {
-            scheme: key.scheme.name().to_string(),
-            workload: key.workload.name().to_string(),
-            stats,
-        }
-    }
-
-    /// [`Plan::run_cell`] with timing-class telemetry: the compile share
-    /// (metered cache lookups) and the simulate share of the cell's wall
-    /// time. Fleet cells compile inside the driver per routed lane, so
-    /// the whole cell is accounted as simulate time there.
-    fn run_cell_metered<T: Telemetry>(&self, cache: &ImageCache, key: &JobKey, t: &T) -> RunResult {
-        if !T::ENABLED {
-            return self.run_cell(cache, key);
-        }
+    /// pools would oversubscribe without changing any output byte. They
+    /// compile inside the driver per routed lane, so the whole cell is
+    /// accounted as simulate time.
+    fn run_cell<T: Telemetry>(
+        &self,
+        cache: &ImageCache,
+        key: &JobKey,
+        t: &T,
+        traced: bool,
+    ) -> (RunResult, Trace) {
+        use crate::fleet::{run_fleet, run_fleet_traced};
         use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
         let cfg = self.config_for(key);
-        let stats = match &key.fleet {
-            Some(fleet) => {
-                let start = t.now_ns();
-                let stats = crate::fleet::run_fleet(cache, &cfg, fleet, &key.workload, 1);
-                t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(start));
-                stats
-            }
+        let mut sim_start = t.now_ns();
+        let (stats, trace) = match &key.fleet {
+            Some(fleet) if traced => run_fleet_traced(cache, &cfg, fleet, &key.workload, 1),
+            Some(fleet) => (
+                run_fleet(cache, &cfg, fleet, &key.workload, 1),
+                Trace::default(),
+            ),
             None => {
-                let compile_start = t.now_ns();
-                let threads = key.workload.threads_metered(cache, &cfg, t);
-                let sim_start = t.now_ns();
-                t.observe(CELL_COMPILE_NS, sim_start.saturating_sub(compile_start));
-                let stats = Machine::new(&cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread")
-                    .run();
-                t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(sim_start));
-                stats
+                let threads = key.workload.threads(cache, &cfg, t);
+                let compiled = t.now_ns();
+                t.observe(CELL_COMPILE_NS, compiled.saturating_sub(sim_start));
+                sim_start = compiled;
+                let machine = Machine::new(&cfg, threads)
+                    .expect("WorkloadRef guarantees at least one member thread");
+                if traced {
+                    machine.run_with_trace()
+                } else {
+                    (machine.run(), Trace::default())
+                }
             }
         };
-        RunResult {
+        t.observe(CELL_SIMULATE_NS, t.now_ns().saturating_sub(sim_start));
+        let result = RunResult {
             scheme: key.scheme.name().to_string(),
             workload: key.workload.name().to_string(),
             stats,
-        }
-    }
-
-    /// Execute one cell with trace collection.
-    fn run_cell_traced(&self, cache: &ImageCache, key: &JobKey) -> (RunResult, Trace) {
-        let cfg = self.config_for(key);
-        let (stats, trace) = match &key.fleet {
-            Some(fleet) => crate::fleet::run_fleet_traced(cache, &cfg, fleet, &key.workload, 1),
-            None => {
-                let threads = key.workload.threads(cache, &cfg);
-                Machine::new(&cfg, threads)
-                    .expect("WorkloadRef guarantees at least one member thread")
-                    .run_with_trace()
-            }
         };
-        (
-            RunResult {
-                scheme: key.scheme.name().to_string(),
-                workload: key.workload.name().to_string(),
-                stats,
-            },
-            trace,
-        )
+        (result, trace)
     }
 
-    /// Wrap executed results into the keyed [`ResultSet`].
-    fn result_set(&self, results: Vec<RunResult>) -> ResultSet {
-        self.result_set_telemetry(results, false)
-    }
-
-    /// [`Plan::result_set`] with an explicit telemetry-axis flag (set by
-    /// the metered entry points when their sink is enabled).
-    fn result_set_telemetry(&self, results: Vec<RunResult>, telemetry_explicit: bool) -> ResultSet {
+    /// Wrap executed results into the keyed [`ResultSet`]; `metered`
+    /// (set by the metered entry points when their sink is enabled) adds
+    /// the telemetry column group.
+    fn result_set(&self, results: Vec<RunResult>, metered: bool) -> ResultSet {
         ResultSet {
-            telemetry_explicit,
-            schemes: self.schemes.clone(),
-            workloads: self.workloads.clone(),
-            schedulers: self.effective_schedulers(),
-            sched_axis_explicit: !self.schedulers.is_empty(),
-            machines: self.effective_machines(),
-            machine_axis_explicit: !self.machines.is_empty(),
-            fleets: self.fleets.clone(),
-            traffics: self.effective_traffics(),
-            traffic_axis_explicit: !self.traffics.is_empty(),
-            axes: self.effective_axes(),
+            grid: self.grid.clone(),
+            metered,
             scale: self.scale,
             priority: self.priority,
             seed: self.seed,
@@ -1088,40 +1050,155 @@ impl Default for Plan {
     }
 }
 
+/// A keyed lookup of one cell of a [`ResultSet`]: name a value on any of
+/// the grid's axes; every axis left unnamed resolves to its first value
+/// (for an optional axis the plan never named, that is its default).
+///
+/// ```
+/// use vliw_sim::plan::{CellQuery, Plan, Session};
+/// use vliw_sim::SchedulerSpec;
+///
+/// let set = Plan::new()
+///     .scheme("1S")
+///     .workload("LLHH")
+///     .schedulers(SchedulerSpec::all())
+///     .scale(100_000)
+///     .run(&Session::with_parallelism(2));
+/// let q = CellQuery::default().scheme("1S").workload("LLHH");
+/// let icount = set.cell(&q.scheduler(SchedulerSpec::Icount)).unwrap();
+/// assert!(icount.ipc() > 0.0);
+/// // Mean IPC over the workloads, per scheduler in plan order.
+/// assert_eq!(set.means_by::<SchedulerSpec>(&q).len(), 4);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CellQuery<'a> {
+    scheme: Option<&'a str>,
+    workload: Option<&'a str>,
+    scheduler: Option<SchedulerSpec>,
+    machine: Option<MachineSpec>,
+    fleet: Option<&'a FleetSpec>,
+    traffic: Option<TrafficSpec>,
+    memory: Option<MemoryModel>,
+}
+
+impl<'a> CellQuery<'a> {
+    /// Name the scheme.
+    pub fn scheme(mut self, scheme: &'a str) -> Self {
+        self.scheme = Some(scheme);
+        self
+    }
+
+    /// Name the workload.
+    pub fn workload(mut self, workload: &'a str) -> Self {
+        self.workload = Some(workload);
+        self
+    }
+
+    /// Name the OS scheduling policy.
+    pub fn scheduler(mut self, scheduler: SchedulerSpec) -> Self {
+        self.scheduler = Some(scheduler);
+        self
+    }
+
+    /// Name the machine geometry.
+    pub fn machine(mut self, machine: MachineSpec) -> Self {
+        self.machine = Some(machine);
+        self
+    }
+
+    /// Name the fleet (only fleets the plan named resolve).
+    pub fn fleet(mut self, fleet: &'a FleetSpec) -> Self {
+        self.fleet = Some(fleet);
+        self
+    }
+
+    /// Name the arrival process.
+    pub fn traffic(mut self, traffic: TrafficSpec) -> Self {
+        self.traffic = Some(traffic);
+        self
+    }
+
+    /// Name the memory model.
+    pub fn memory(mut self, memory: MemoryModel) -> Self {
+        self.memory = Some(memory);
+        self
+    }
+}
+
+/// The value type of one grid axis, so [`ResultSet::means_by`] can fan an
+/// aggregation out over that axis.
+pub trait AxisValue: Sized {
+    /// The axis's values in `set`, plan order.
+    fn values(set: &ResultSet) -> Vec<Self>;
+    /// `q` with this axis set to `self`.
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a>;
+}
+
+impl AxisValue for SchemeRef {
+    fn values(set: &ResultSet) -> Vec<Self> {
+        set.schemes().to_vec()
+    }
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
+        q.scheme(self.name())
+    }
+}
+
+impl AxisValue for SchedulerSpec {
+    fn values(set: &ResultSet) -> Vec<Self> {
+        set.schedulers().to_vec()
+    }
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
+        q.scheduler(*self)
+    }
+}
+
+impl AxisValue for MachineSpec {
+    fn values(set: &ResultSet) -> Vec<Self> {
+        set.machines().to_vec()
+    }
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
+        q.machine(*self)
+    }
+}
+
+impl AxisValue for FleetSpec {
+    fn values(set: &ResultSet) -> Vec<Self> {
+        set.fleets().cloned().collect()
+    }
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
+        q.fleet(self)
+    }
+}
+
+impl AxisValue for TrafficSpec {
+    fn values(set: &ResultSet) -> Vec<Self> {
+        set.traffics().to_vec()
+    }
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
+        q.traffic(*self)
+    }
+}
+
+impl AxisValue for MemoryModel {
+    fn values(set: &ResultSet) -> Vec<Self> {
+        set.axes().to_vec()
+    }
+    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
+        q.memory(*self)
+    }
+}
+
 /// The keyed results of one executed [`Plan`].
 ///
 /// Storage is row-major over the plan's grid — schemes outermost, then
-/// workloads, then schedulers, then machines, memory axes innermost — the
-/// same guarantee [`runner::run_sweep`] documents, so positional consumers
-/// and keyed lookups always agree.
+/// workloads, schedulers, machines, fleets, traffic, memory axes
+/// innermost — so positional consumers and keyed lookups always agree.
 #[derive(Debug, Clone)]
 pub struct ResultSet {
-    schemes: Vec<SchemeRef>,
-    workloads: Vec<WorkloadRef>,
-    schedulers: Vec<SchedulerSpec>,
-    /// Whether the plan named schedulers explicitly. Gates the
-    /// `scheduler` column/field in serialized exhibits so default plans
-    /// keep their pre-axis byte format.
-    sched_axis_explicit: bool,
-    machines: Vec<MachineSpec>,
-    /// Whether the plan named machines explicitly. Gates the `machine`
-    /// column/field exactly like `sched_axis_explicit`.
-    machine_axis_explicit: bool,
-    /// Fleets of the grid — *empty* (not a default singleton) when the
-    /// plan named none: there is no default fleet, and emptiness doubles
-    /// as the explicitness gate for the `fleet` column/field and the
-    /// fleet metric columns.
-    fleets: Vec<FleetSpec>,
-    traffics: Vec<TrafficSpec>,
-    /// Whether the plan named arrival processes explicitly. Gates the
-    /// `traffic` column/field *and* the open-system metric columns, so
-    /// closed plans keep their historical bytes.
-    traffic_axis_explicit: bool,
-    axes: Vec<MemoryModel>,
-    /// Whether the set came from a metered run with an enabled sink.
-    /// Gates the telemetry metric columns (cache hits/misses, trace
-    /// drops) so default runs keep their historical bytes.
-    telemetry_explicit: bool,
+    grid: Grid,
+    /// Whether the set came from a metered run with an enabled sink,
+    /// which adds the telemetry column group.
+    metered: bool,
     scale: u64,
     priority: PriorityPolicy,
     seed: Option<u64>,
@@ -1129,195 +1206,49 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Header shared by [`ResultSet::to_csv`] and the `paper` binary's
-    /// combined `--csv` export, for plans without an explicit scheduler
-    /// or machine axis.
-    pub const CSV_HEADER: &'static str = "scheme,workload,memory,ipc,cycles,instrs,ops";
-
-    /// [`ResultSet::CSV_HEADER`] with the `scheduler` column, used when
-    /// the plan named schedulers explicitly.
-    pub const CSV_HEADER_SCHED: &'static str =
-        "scheme,workload,scheduler,memory,ipc,cycles,instrs,ops";
-
-    /// [`ResultSet::CSV_HEADER`] with the `machine` column, used when the
-    /// plan named machines explicitly.
-    pub const CSV_HEADER_MACHINE: &'static str =
-        "scheme,workload,machine,memory,ipc,cycles,instrs,ops";
-
-    /// The full header: both the `scheduler` and `machine` columns, for
-    /// plans naming both axes explicitly.
-    pub const CSV_HEADER_SCHED_MACHINE: &'static str =
-        "scheme,workload,scheduler,machine,memory,ipc,cycles,instrs,ops";
-
-    /// The open-system metric columns appended (with the `traffic` key
-    /// column) when the plan named arrival processes explicitly.
-    pub const CSV_TRAFFIC_METRICS: &'static str =
-        ",offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER`] with the `traffic` column and the
-    /// open-system metrics, used when the plan named arrival processes
-    /// explicitly.
-    pub const CSV_HEADER_TRAFFIC: &'static str = "scheme,workload,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER_SCHED`] plus the traffic column/metrics.
-    pub const CSV_HEADER_SCHED_TRAFFIC: &'static str =
-        "scheme,workload,scheduler,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER_MACHINE`] plus the traffic column/metrics.
-    pub const CSV_HEADER_MACHINE_TRAFFIC: &'static str =
-        "scheme,workload,machine,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// [`ResultSet::CSV_HEADER_SCHED_MACHINE`] plus the traffic
-    /// column/metrics — every optional axis explicit.
-    pub const CSV_HEADER_SCHED_MACHINE_TRAFFIC: &'static str =
-        "scheme,workload,scheduler,machine,traffic,memory,ipc,cycles,\
-         instrs,ops,offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
-
-    /// The fleet metric columns appended (with the `fleet` key column)
-    /// when the plan named fleets explicitly. `fleet_routed`/`fleet_shed`
-    /// are slash-joined per-machine counts in fleet order; the sojourn
-    /// quantiles are fleet-wide (merged sample multisets, not averaged
-    /// per-machine quantiles).
-    pub const CSV_FLEET_METRICS: &'static str =
-        ",fleet_machines,fleet_routed,fleet_shed,fleet_p50_sojourn,fleet_p95_sojourn,\
-         fleet_p99_sojourn";
-
-    /// The telemetry metric columns appended when the set came from a
-    /// metered run ([`Plan::run_metered`] with an enabled sink):
-    /// statically-attributed image-cache economics and ring-sink trace
-    /// drops. No key column — telemetry is a property of the run, not an
-    /// axis with swept values.
-    pub const CSV_TELEMETRY_METRICS: &'static str = ",cache_hits,cache_misses,trace_dropped";
-
-    /// The CSV header for a given column shape (see
-    /// [`ResultSet::csv_rows_shaped`]), composed column group by column
-    /// group instead of enumerating every axis combination: the key
-    /// columns in grid-axis order (`scheme,workload`, then one optional
-    /// key column per explicit axis, then `memory`), the always-on
-    /// metrics, then each explicit axis's metric group. Every pre-fleet
-    /// shape reproduces its legacy constant byte-for-byte
-    /// ([`ResultSet::CSV_HEADER`] through
-    /// [`ResultSet::CSV_HEADER_SCHED_MACHINE_TRAFFIC`]).
-    pub fn csv_header_for(
-        with_sched: bool,
-        with_machine: bool,
-        with_fleet: bool,
-        with_traffic: bool,
-        with_telemetry: bool,
-    ) -> String {
-        let mut h = String::from("scheme,workload");
-        if with_sched {
-            h.push_str(",scheduler");
-        }
-        if with_machine {
-            h.push_str(",machine");
-        }
-        if with_fleet {
-            h.push_str(",fleet");
-        }
-        if with_traffic {
-            h.push_str(",traffic");
-        }
-        h.push_str(",memory,ipc,cycles,instrs,ops");
-        if with_traffic {
-            h.push_str(Self::CSV_TRAFFIC_METRICS);
-        }
-        if with_fleet {
-            h.push_str(Self::CSV_FLEET_METRICS);
-        }
-        if with_telemetry {
-            h.push_str(Self::CSV_TELEMETRY_METRICS);
-        }
-        h
-    }
-
-    /// The CSV header matching this set's [`ResultSet::to_csv`] /
-    /// [`ResultSet::csv_rows`] output.
-    pub fn csv_header(&self) -> String {
-        Self::csv_header_for(
-            self.sched_axis_explicit,
-            self.machine_axis_explicit,
-            !self.fleets.is_empty(),
-            self.traffic_axis_explicit,
-            self.telemetry_explicit,
-        )
-    }
-
-    /// Whether the plan named schedulers explicitly (what gates the
-    /// `scheduler` column/field in this set's own serialization).
-    pub fn sched_axis_is_explicit(&self) -> bool {
-        self.sched_axis_explicit
-    }
-
-    /// Whether the plan named machines explicitly (what gates the
-    /// `machine` column/field in this set's own serialization).
-    pub fn machine_axis_is_explicit(&self) -> bool {
-        self.machine_axis_explicit
-    }
-
-    /// Whether the plan named arrival processes explicitly (what gates
-    /// the `traffic` column/field and the open-system metric columns in
-    /// this set's own serialization).
-    pub fn traffic_axis_is_explicit(&self) -> bool {
-        self.traffic_axis_explicit
-    }
-
-    /// Whether the plan named fleets explicitly (what gates the `fleet`
-    /// column/field and the fleet metric columns in this set's own
-    /// serialization). Unlike the other axes there is no default fleet:
-    /// a non-explicit fleet axis means plain single-machine cells.
-    pub fn fleet_axis_is_explicit(&self) -> bool {
-        !self.fleets.is_empty()
-    }
-
-    /// Whether this set came from a metered run with an enabled telemetry
-    /// sink (what gates the telemetry metric columns in this set's own
-    /// serialization). Like the fleet axis there is no key column — the
-    /// flag only adds metric columns.
-    pub fn telemetry_axis_is_explicit(&self) -> bool {
-        self.telemetry_explicit
+    /// The column groups this set's own exports carry: one per optional
+    /// axis the plan named, plus telemetry for metered runs.
+    pub fn shape(&self) -> ColumnShape {
+        self.grid.shape(self.metered)
     }
 
     /// Schemes of the grid, in plan order.
     pub fn schemes(&self) -> &[SchemeRef] {
-        &self.schemes
+        &self.grid.schemes
     }
 
     /// Workloads of the grid, in plan order.
     pub fn workloads(&self) -> &[WorkloadRef] {
-        &self.workloads
+        &self.grid.workloads
     }
 
     /// Scheduling policies of the grid, in plan order (the default
     /// `[PaperRandom]` when the plan named none).
     pub fn schedulers(&self) -> &[SchedulerSpec] {
-        &self.schedulers
+        &self.grid.schedulers.values
     }
 
     /// Machine geometries of the grid, in plan order (the default
     /// `[Paper4x4]` when the plan named none).
     pub fn machines(&self) -> &[MachineSpec] {
-        &self.machines
+        &self.grid.machines.values
     }
 
-    /// Fleets of the grid, in plan order — *empty* when the plan named
-    /// none (there is no default fleet).
-    pub fn fleets(&self) -> &[FleetSpec] {
-        &self.fleets
+    /// Fleets of the grid, in plan order — none when the plan named none
+    /// (its cells run on one plain machine).
+    pub fn fleets(&self) -> impl Iterator<Item = &FleetSpec> {
+        self.grid.fleets.values.iter().flatten()
     }
 
     /// Arrival processes of the grid, in plan order (the default
     /// `[Closed]` when the plan named none).
     pub fn traffics(&self) -> &[TrafficSpec] {
-        &self.traffics
+        &self.grid.traffics.values
     }
 
     /// Memory axes of the grid, in plan order.
     pub fn axes(&self) -> &[MemoryModel] {
-        &self.axes
+        &self.grid.memory.values
     }
 
     /// The plan's run-length divisor.
@@ -1346,223 +1277,29 @@ impl ResultSet {
         self.results.is_empty()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn position(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        fleet: Option<&FleetSpec>,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<usize> {
-        let s = self.schemes.iter().position(|x| x.name() == scheme)?;
-        let w = self.workloads.iter().position(|x| x.name() == workload)?;
-        let c = self.schedulers.iter().position(|&x| x == scheduler)?;
-        let m = self.machines.iter().position(|&x| x == machine)?;
-        // The fleet stride is 1 even when no fleet axis exists (`None`
-        // addresses the sole implicit lane); an explicit fleet must be
-        // part of the grid.
-        let f = match fleet {
-            None => {
-                if self.fleets.is_empty() {
-                    0
-                } else {
-                    return None;
-                }
-            }
-            Some(fl) => self.fleets.iter().position(|x| x == fl)?,
-        };
-        let t = self.traffics.iter().position(|&x| x == traffic)?;
-        let a = self.axes.iter().position(|&x| x == memory)?;
-        Some(
-            ((((((s * self.workloads.len() + w) * self.schedulers.len() + c)
-                * self.machines.len()
-                + m)
-                * self.fleets.len().max(1)
-                + f)
-                * self.traffics.len())
-                + t)
-                * self.axes.len()
-                + a,
-        )
+    /// Keyed lookup of the cell `q` names; `None` when a named value is
+    /// not part of the grid.
+    pub fn cell(&self, q: &CellQuery) -> Option<&RunResult> {
+        self.results.get(self.grid.find(q)?)
     }
 
-    /// Keyed lookup of one cell under the plan's *first* scheduler,
-    /// *first* machine and *first* traffic spec (the only ones for plans
-    /// without those explicit axes). Use [`ResultSet::get_sched`] /
-    /// [`ResultSet::get_machine`] / [`ResultSet::get_traffic`] /
-    /// [`ResultSet::get_cell`] to address swept axes explicitly.
+    /// Keyed lookup of one cell under the first value of every optional
+    /// axis (see [`ResultSet::cell`] for the others).
     pub fn get(&self, scheme: &str, workload: &str, memory: MemoryModel) -> Option<&RunResult> {
-        self.get_sched(scheme, workload, *self.schedulers.first()?, memory)
-    }
-
-    /// Keyed lookup of one cell, scheduler included (first machine and
-    /// traffic).
-    pub fn get_sched(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_cell(scheme, workload, scheduler, *self.machines.first()?, memory)
-    }
-
-    /// Keyed lookup of one cell, machine included (first scheduler and
-    /// traffic).
-    pub fn get_machine(
-        &self,
-        scheme: &str,
-        workload: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_cell(scheme, workload, *self.schedulers.first()?, machine, memory)
-    }
-
-    /// Keyed lookup of one cell, arrival process included (first
-    /// scheduler and machine).
-    pub fn get_traffic(
-        &self,
-        scheme: &str,
-        workload: &str,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_full(
-            scheme,
-            workload,
-            *self.schedulers.first()?,
-            *self.machines.first()?,
-            traffic,
-            memory,
+        self.cell(
+            &CellQuery::default()
+                .scheme(scheme)
+                .workload(workload)
+                .memory(memory),
         )
     }
 
-    /// Keyed lookup of one cell by scheme, workload, scheduler, machine
-    /// and memory (first traffic spec). See [`ResultSet::get_full`] for
-    /// the fully-specified form.
-    pub fn get_cell(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.get_full(
-            scheme,
-            workload,
-            scheduler,
-            machine,
-            *self.traffics.first()?,
-            memory,
-        )
-    }
-
-    /// Keyed lookup of one cell by its full grid key, every axis except
-    /// the fleet explicit (first fleet for fleet-swept sets; see
-    /// [`ResultSet::get_fleet`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_full(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.results.get(self.position(
-            scheme,
-            workload,
-            scheduler,
-            machine,
-            self.fleets.first(),
-            traffic,
-            memory,
-        )?)
-    }
-
-    /// Keyed lookup of one cell by fleet (first scheduler, machine and
-    /// traffic spec). Only fleets the plan named resolve; `None` for
-    /// everything else.
-    pub fn get_fleet(
-        &self,
-        scheme: &str,
-        workload: &str,
-        fleet: &FleetSpec,
-        memory: MemoryModel,
-    ) -> Option<&RunResult> {
-        self.results.get(self.position(
-            scheme,
-            workload,
-            *self.schedulers.first()?,
-            *self.machines.first()?,
-            Some(fleet),
-            *self.traffics.first()?,
-            memory,
-        )?)
-    }
-
-    /// IPC of one cell (first scheduler and machine; see
-    /// [`ResultSet::get`]).
+    /// IPC of one cell (see [`ResultSet::get`]).
     pub fn ipc(&self, scheme: &str, workload: &str, memory: MemoryModel) -> Option<f64> {
         self.get(scheme, workload, memory).map(RunResult::ipc)
     }
 
-    /// IPC of one cell, scheduler included.
-    pub fn ipc_sched(
-        &self,
-        scheme: &str,
-        workload: &str,
-        scheduler: SchedulerSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_sched(scheme, workload, scheduler, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, machine included.
-    pub fn ipc_machine(
-        &self,
-        scheme: &str,
-        workload: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_machine(scheme, workload, machine, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, fleet included (aggregate operations per cycle
-    /// across the fleet's machines over the fleet's makespan).
-    pub fn ipc_fleet(
-        &self,
-        scheme: &str,
-        workload: &str,
-        fleet: &FleetSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_fleet(scheme, workload, fleet, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// IPC of one cell, arrival process included.
-    pub fn ipc_traffic(
-        &self,
-        scheme: &str,
-        workload: &str,
-        traffic: TrafficSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.get_traffic(scheme, workload, traffic, memory)
-            .map(RunResult::ipc)
-    }
-
-    /// Per-thread breakdown of one cell (first scheduler; from
+    /// Per-thread breakdown of one cell (see [`ResultSet::get`]; from
     /// [`crate::stats::RunStats`]).
     pub fn threads(
         &self,
@@ -1575,7 +1312,7 @@ impl ResultSet {
     }
 
     /// All results in row-major grid order (schemes outermost, memory axes
-    /// innermost) — the [`runner::run_sweep`] layout.
+    /// innermost).
     pub fn results(&self) -> &[RunResult] {
         &self.results
     }
@@ -1587,148 +1324,64 @@ impl ResultSet {
 
     /// Iterate `(key, result)` pairs in row-major grid order.
     pub fn iter(&self) -> impl Iterator<Item = (JobKey, &RunResult)> + '_ {
-        let na = self.axes.len();
-        let nt = self.traffics.len();
-        let nf = self.fleets.len().max(1);
-        let nm = self.machines.len();
-        let nc = self.schedulers.len();
-        let nw = self.workloads.len();
-        self.results.iter().enumerate().map(move |(i, r)| {
-            let a = i % na;
-            let t = (i / na) % nt;
-            let f = (i / (na * nt)) % nf;
-            let m = (i / (na * nt * nf)) % nm;
-            let c = (i / (na * nt * nf * nm)) % nc;
-            let w = (i / (na * nt * nf * nm * nc)) % nw;
-            let s = i / (na * nt * nf * nm * nc * nw);
-            (
-                JobKey {
-                    scheme: self.schemes[s].clone(),
-                    workload: self.workloads[w].clone(),
-                    scheduler: self.schedulers[c],
-                    machine: self.machines[m],
-                    fleet: self.fleets.get(f).cloned(),
-                    traffic: self.traffics[t],
-                    memory: self.axes[a],
-                },
-                r,
-            )
-        })
+        self.results
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (self.grid.key(i), r))
     }
 
-    /// Mean IPC over all workloads for one fully-specified
-    /// (scheme, scheduler, machine, memory) combination.
-    fn mean_over_workloads(
-        &self,
-        scheme: &str,
-        scheduler: SchedulerSpec,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.schemes.iter().find(|s| s.name() == scheme)?;
-        self.axes.iter().find(|&&a| a == memory)?;
-        self.schedulers.iter().find(|&&c| c == scheduler)?;
-        self.machines.iter().find(|&&m| m == machine)?;
+    /// Mean IPC over the grid's workloads of the cells `q` names (its
+    /// workload, if named, is ignored) — the one aggregation behind every
+    /// mean helper. `None` when a named value is not part of the grid.
+    pub fn mean(&self, q: &CellQuery) -> Option<f64> {
         let xs: Vec<f64> = self
+            .grid
             .workloads
             .iter()
-            .filter_map(|w| {
-                self.get_cell(scheme, w.name(), scheduler, machine, memory)
-                    .map(RunResult::ipc)
-            })
+            .filter_map(|w| self.cell(&q.workload(w.name())).map(RunResult::ipc))
             .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
+        (!xs.is_empty()).then(|| xs.iter().sum::<f64>() / xs.len() as f64)
+    }
+
+    /// [`ResultSet::mean`] for every value of axis `A`, plan order (the
+    /// query's own value on that axis is replaced). For example
+    /// `means_by::<SchedulerSpec>` is the scheduler-ablation view and
+    /// `means_by::<TrafficSpec>` throughput vs offered load.
+    pub fn means_by<A: AxisValue>(&self, q: &CellQuery) -> Vec<(A, f64)> {
+        A::values(self)
+            .into_iter()
+            .filter_map(|v| {
+                let mean = self.mean(&v.pin(*q))?;
+                Some((v, mean))
+            })
+            .collect()
     }
 
     /// Mean IPC of one scheme across all workloads on one memory axis
-    /// (first scheduler and machine; see [`ResultSet::get`]).
+    /// (first value of every optional axis).
     pub fn mean_ipc(&self, scheme: &str, memory: MemoryModel) -> Option<f64> {
-        self.mean_ipc_sched(scheme, *self.schedulers.first()?, memory)
+        self.mean(&CellQuery::default().scheme(scheme).memory(memory))
     }
 
-    /// Mean IPC of one scheme across all workloads on one memory axis,
-    /// under one scheduler (first machine).
-    pub fn mean_ipc_sched(
-        &self,
-        scheme: &str,
-        scheduler: SchedulerSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.mean_over_workloads(scheme, scheduler, *self.machines.first()?, memory)
-    }
-
-    /// Mean IPC of one scheme across all workloads on one memory axis, on
-    /// one machine geometry (first scheduler).
-    pub fn mean_ipc_machine(
-        &self,
-        scheme: &str,
-        machine: MachineSpec,
-        memory: MemoryModel,
-    ) -> Option<f64> {
-        self.mean_over_workloads(scheme, *self.schedulers.first()?, machine, memory)
-    }
-
-    /// Mean IPC of every scheduler (plan order) for one scheme on one
-    /// memory axis — the scheduler-ablation view.
-    pub fn scheduler_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(SchedulerSpec, f64)> {
-        self.schedulers
-            .iter()
-            .filter_map(|&c| self.mean_ipc_sched(scheme, c, memory).map(|m| (c, m)))
+    /// Mean IPC of every scheme (plan order) on one memory axis.
+    pub fn scheme_means(&self, memory: MemoryModel) -> Vec<(Arc<str>, f64)> {
+        let q = CellQuery::default().memory(memory);
+        self.means_by::<SchemeRef>(&q)
+            .into_iter()
+            .map(|(s, m)| (s.name, m))
             .collect()
     }
 
-    /// Mean IPC of every machine geometry (plan order) for one scheme on
-    /// one memory axis — the design-space view.
-    pub fn machine_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(MachineSpec, f64)> {
-        self.machines
-            .iter()
-            .filter_map(|&m| self.mean_ipc_machine(scheme, m, memory).map(|x| (m, x)))
-            .collect()
-    }
-
-    /// Mean IPC of every arrival process (plan order) for one scheme on
-    /// one memory axis (first scheduler and machine) — the
-    /// throughput-vs-offered-load view.
-    pub fn traffic_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(TrafficSpec, f64)> {
-        self.traffics
-            .iter()
-            .filter_map(|&t| {
-                let xs: Vec<f64> = self
-                    .workloads
-                    .iter()
-                    .filter_map(|w| self.ipc_traffic(scheme, w.name(), t, memory))
-                    .collect();
-                if xs.is_empty() {
-                    None
-                } else {
-                    Some((t, xs.iter().sum::<f64>() / xs.len() as f64))
-                }
-            })
-            .collect()
-    }
-
-    /// Mean IPC of every fleet (plan order) for one scheme on one memory
-    /// axis (first scheduler, machine and traffic spec) — the
-    /// fleet-scaling view. Empty for sets without a fleet axis.
-    pub fn fleet_means(&self, scheme: &str, memory: MemoryModel) -> Vec<(FleetSpec, f64)> {
-        self.fleets
-            .iter()
-            .filter_map(|f| {
-                let xs: Vec<f64> = self
-                    .workloads
-                    .iter()
-                    .filter_map(|w| self.ipc_fleet(scheme, w.name(), f, memory))
-                    .collect();
-                if xs.is_empty() {
-                    None
-                } else {
-                    Some((f.clone(), xs.iter().sum::<f64>() / xs.len() as f64))
-                }
-            })
-            .collect()
+    /// Mean-IPC ratio of `scheme` over `baseline` on one memory axis
+    /// (1.0 = parity; the paper's "+14%" style claims are `ratio - 1`).
+    pub fn speedup(&self, scheme: &str, baseline: &str, memory: MemoryModel) -> Option<f64> {
+        let s = self.mean_ipc(scheme, memory)?;
+        let b = self.mean_ipc(baseline, memory)?;
+        if b == 0.0 {
+            None
+        } else {
+            Some(s / b)
+        }
     }
 
     /// Gate-level cost of one scheme's merge-control hardware priced for
@@ -1737,8 +1390,8 @@ impl ResultSet {
     /// not part of the grid; the cost is per-geometry, so an `8x2` machine
     /// prices 8 clusters of 2-issue merge logic, not the paper's 4×4.
     pub fn merge_cost(&self, scheme: &str, machine: MachineSpec) -> Option<SchemeCost> {
-        let s = self.schemes.iter().find(|s| s.name() == scheme)?;
-        self.machines.iter().find(|&&m| m == machine)?;
+        let s = self.schemes().iter().find(|s| s.name() == scheme)?;
+        self.machines().iter().find(|&&m| m == machine)?;
         let cfg = machine.config();
         Some(scheme_cost(
             s.scheme(),
@@ -1758,31 +1411,12 @@ impl ResultSet {
         memory: MemoryModel,
     ) -> Option<f64> {
         let cost = self.merge_cost(scheme, machine)?;
-        let ipc = self.mean_ipc_machine(scheme, machine, memory)?;
+        let q = CellQuery::default().scheme(scheme).machine(machine);
+        let ipc = self.mean(&q.memory(memory))?;
         if cost.transistors == 0 {
             return None;
         }
         Some(ipc / (cost.transistors as f64 / 1000.0))
-    }
-
-    /// Mean IPC of every scheme (plan order) on one memory axis.
-    pub fn scheme_means(&self, memory: MemoryModel) -> Vec<(Arc<str>, f64)> {
-        self.schemes
-            .iter()
-            .filter_map(|s| self.mean_ipc(s.name(), memory).map(|m| (s.name.clone(), m)))
-            .collect()
-    }
-
-    /// Mean-IPC ratio of `scheme` over `baseline` on one memory axis
-    /// (1.0 = parity; the paper's "+14%" style claims are `ratio - 1`).
-    pub fn speedup(&self, scheme: &str, baseline: &str, memory: MemoryModel) -> Option<f64> {
-        let s = self.mean_ipc(scheme, memory)?;
-        let b = self.mean_ipc(baseline, memory)?;
-        if b == 0.0 {
-            None
-        } else {
-            Some(s / b)
-        }
     }
 
     /// Serialize as a self-contained JSON object (hand-rolled, no external
@@ -1791,179 +1425,38 @@ impl ResultSet {
     /// Floats use Rust's shortest round-trip `Display`, so parsing a value
     /// back yields the exact `f64`.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 256 * self.results.len());
-        s.push_str("{\"scale\":");
-        let _ = write!(s, "{}", self.scale);
-        s.push_str(",\"priority\":");
+        let columns: Vec<&Column> = self.shape().columns().collect();
+        let cells: Vec<(Vec<Value>, &RunResult)> = self
+            .iter()
+            .map(|(key, r)| (columns.iter().map(|c| (c.value)(&key, r)).collect(), r))
+            .collect();
+        let mut s = String::with_capacity(256 + 256 * cells.len());
+        let _ = write!(s, "{{\"scale\":{},\"priority\":", self.scale);
         json_string(&mut s, priority_label(self.priority));
-        s.push_str(",\"seed\":");
         match self.seed {
             Some(seed) => {
-                let _ = write!(s, "{seed}");
+                let _ = write!(s, ",\"seed\":{seed}");
             }
-            None => s.push_str("null"),
+            None => s.push_str(",\"seed\":null"),
         }
-        s.push_str(",\"schemes\":[");
-        for (i, sc) in self.schemes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        // Each key column's axis, as its distinct values in grid order.
+        for (i, c) in columns.iter().enumerate() {
+            let Some(plural) = c.plural else { continue };
+            let mut axis: Vec<&Value> = Vec::new();
+            for (values, _) in &cells {
+                if !axis.contains(&&values[i]) {
+                    axis.push(&values[i]);
+                }
             }
-            json_string(&mut s, sc.name());
+            let _ = write!(s, ",\"{plural}\":");
+            Value::List(axis.into_iter().cloned().collect()).json(&mut s);
         }
-        s.push_str("],\"workloads\":[");
-        for (i, w) in self.workloads.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_string(&mut s, w.name());
-        }
-        if self.sched_axis_explicit {
-            s.push_str("],\"schedulers\":[");
-            for (i, c) in self.schedulers.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, c.name());
-            }
-        }
-        if self.machine_axis_explicit {
-            s.push_str("],\"machines\":[");
-            for (i, m) in self.machines.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, &m.label());
-            }
-        }
-        if !self.fleets.is_empty() {
-            s.push_str("],\"fleets\":[");
-            for (i, f) in self.fleets.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, &f.label());
-            }
-        }
-        if self.traffic_axis_explicit {
-            s.push_str("],\"traffics\":[");
-            for (i, t) in self.traffics.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json_string(&mut s, &t.to_string());
-            }
-        }
-        s.push_str("],\"axes\":[");
-        for (i, a) in self.axes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_string(&mut s, a.label());
-        }
-        s.push_str("],\"results\":[");
-        for (i, (key, r)) in self.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"scheme\":");
-            json_string(&mut s, key.scheme.name());
-            s.push_str(",\"workload\":");
-            json_string(&mut s, key.workload.name());
-            if self.sched_axis_explicit {
-                s.push_str(",\"scheduler\":");
-                json_string(&mut s, key.scheduler.name());
-            }
-            if self.machine_axis_explicit {
-                s.push_str(",\"machine\":");
-                json_string(&mut s, &key.machine.label());
-            }
-            if let Some(fleet) = &key.fleet {
-                s.push_str(",\"fleet\":");
-                json_string(&mut s, &fleet.label());
-            }
-            if self.traffic_axis_explicit {
-                s.push_str(",\"traffic\":");
-                json_string(&mut s, &key.traffic.to_string());
-            }
-            s.push_str(",\"memory\":");
-            json_string(&mut s, key.memory.label());
-            let _ = write!(
-                s,
-                ",\"ipc\":{},\"cycles\":{},\"instrs\":{},\"ops\":{},\"vertical_waste\":{},\"horizontal_waste\":{},\"context_switches\":{}",
-                r.ipc(),
-                r.stats.cycles,
-                r.stats.total_instrs,
-                r.stats.total_ops,
-                r.stats.vertical_waste(),
-                r.stats.horizontal_waste(),
-                r.stats.context_switches,
-            );
-            if self.sched_axis_explicit {
-                let _ = write!(
-                    s,
-                    ",\"migrations\":{},\"idle_context_cycles\":{}",
-                    r.stats.migrations, r.stats.idle_context_cycles,
-                );
-            }
-            if self.traffic_axis_explicit {
-                let t = &r.stats.traffic;
-                let _ = write!(
-                    s,
-                    ",\"offered\":{},\"completed\":{},\"shed\":{},\"p50_sojourn\":{},\"p95_sojourn\":{},\"p99_sojourn\":{},\"mean_sojourn\":{},\"mean_wait\":{},\"mean_queue_depth\":{}",
-                    t.offered,
-                    t.completed,
-                    t.shed,
-                    t.p50_sojourn,
-                    t.p95_sojourn,
-                    t.p99_sojourn,
-                    t.mean_sojourn,
-                    t.mean_wait,
-                    t.mean_queue_depth,
-                );
-            }
-            if let Some(fs) = r.stats.fleet.as_ref().filter(|_| key.fleet.is_some()) {
-                let _ = write!(s, ",\"fleet_machines\":{}", fs.n_machines());
-                s.push_str(",\"fleet_routed\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.routed);
-                }
-                s.push_str("],\"fleet_shed\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.shed);
-                }
-                s.push_str("],\"fleet_utilization\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.utilization);
-                }
-                s.push_str("],\"fleet_ipc\":[");
-                for (j, m) in fs.machines.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{}", m.ipc);
-                }
-                let t = &r.stats.traffic;
-                let _ = write!(
-                    s,
-                    "],\"fleet_p50_sojourn\":{},\"fleet_p95_sojourn\":{},\"fleet_p99_sojourn\":{}",
-                    t.p50_sojourn, t.p95_sojourn, t.p99_sojourn,
-                );
-            }
-            if self.telemetry_explicit {
-                let _ = write!(
-                    s,
-                    ",\"cache_hits\":{},\"cache_misses\":{},\"trace_dropped\":{}",
-                    r.stats.cache_hits, r.stats.cache_misses, r.stats.trace_dropped,
-                );
+        s.push_str(",\"results\":[");
+        for (i, (values, r)) in cells.iter().enumerate() {
+            s.push_str(if i > 0 { ",{" } else { "{" });
+            for (j, (c, v)) in columns.iter().zip(values).enumerate() {
+                let _ = write!(s, "{}\"{}\":", if j > 0 { "," } else { "" }, c.name);
+                v.json(&mut s);
             }
             s.push_str(",\"threads\":[");
             for (j, t) in r.stats.threads.iter().enumerate() {
@@ -1990,157 +1483,280 @@ impl ResultSet {
         s
     }
 
-    /// Serialize as CSV with header [`ResultSet::csv_header`], one row per
-    /// grid cell in row-major order. Byte-deterministic like
+    /// Serialize as CSV with header `self.shape().csv_header()`, one row
+    /// per grid cell in row-major order. Byte-deterministic like
     /// [`ResultSet::to_json`].
     pub fn to_csv(&self) -> String {
-        let mut s = self.csv_header();
-        s.push('\n');
-        s.push_str(&self.csv_rows(None));
-        s
+        let shape = self.shape();
+        format!("{}\n{}", shape.csv_header(), self.csv_rows(None, shape))
     }
 
-    /// The CSV data rows alone; with `exhibit` set, each row is prefixed
-    /// with that id (for combined multi-exhibit exports — prepend
-    /// `"exhibit,"` to [`ResultSet::csv_header`]). Names are CSV-quoted
-    /// when needed, since computed scheme/workload names may contain
-    /// delimiters. The `scheduler`/`machine` columns appear exactly when
-    /// the plan named those axes explicitly.
-    pub fn csv_rows(&self, exhibit: Option<&str>) -> String {
-        self.csv_rows_shaped(
-            exhibit,
-            self.sched_axis_explicit,
-            self.machine_axis_explicit,
-            !self.fleets.is_empty(),
-            self.traffic_axis_explicit,
-            self.telemetry_explicit,
-        )
-    }
-
-    /// [`ResultSet::csv_rows`] in an externally-imposed column shape, for
-    /// combined multi-set exports whose sets disagree on axis
-    /// explicitness: pass the *union* of the sets' explicit axes (each
-    /// flag must be at least this set's own — forcing a column *off* that
-    /// the set swept would be ambiguous and panics) and every row matches
-    /// one [`ResultSet::csv_header_for`] header. Forced-on columns carry
-    /// the cell's actual scheduler/machine, i.e. the defaults for sets
-    /// that never named that axis.
-    pub fn csv_rows_shaped(
-        &self,
-        exhibit: Option<&str>,
-        with_sched: bool,
-        with_machine: bool,
-        with_fleet: bool,
-        with_traffic: bool,
-        with_telemetry: bool,
-    ) -> String {
-        assert!(
-            (with_sched || !self.sched_axis_explicit)
-                && (with_machine || !self.machine_axis_explicit)
-                && (with_fleet || self.fleets.is_empty())
-                && (with_traffic || !self.traffic_axis_explicit)
-                && (with_telemetry || !self.telemetry_explicit),
-            "cannot drop a swept axis column: rows of different cells would collide"
-        );
+    /// The CSV data rows alone, widened to `shape` (the union of `shape`
+    /// and the set's own, so a swept axis is never dropped): pass the
+    /// union of several sets' shapes and every row matches one
+    /// [`ColumnShape::csv_header`]. A widened key column carries the
+    /// cell's actual value — the axis default for sets that never named
+    /// it. With `exhibit` set, each row is prefixed with that id (for
+    /// combined multi-exhibit exports — prepend `"exhibit,"` to the
+    /// header). Names are CSV-quoted when needed, since computed
+    /// scheme/workload names may contain delimiters.
+    pub fn csv_rows(&self, exhibit: Option<&str>, shape: ColumnShape) -> String {
+        let columns: Vec<&Column> = shape.union(self.shape()).csv_columns().collect();
         let mut s = String::new();
         for (key, r) in self.iter() {
             if let Some(id) = exhibit {
                 s.push_str(&csv_field(id));
                 s.push(',');
             }
-            s.push_str(&csv_field(key.scheme.name()));
-            s.push(',');
-            s.push_str(&csv_field(key.workload.name()));
-            s.push(',');
-            if with_sched {
-                s.push_str(key.scheduler.name());
-                s.push(',');
-            }
-            if with_machine {
-                s.push_str(&key.machine.label());
-                s.push(',');
-            }
-            if with_fleet {
-                // A non-fleet cell in a forced-fleet-column export is its
-                // own singleton fleet: label it by its machine (which is
-                // exactly the one-machine fleet grammar spelling).
-                match &key.fleet {
-                    Some(f) => s.push_str(&csv_field(&f.label())),
-                    None => s.push_str(&key.machine.label()),
+            for (j, c) in columns.iter().enumerate() {
+                if j > 0 {
+                    s.push(',');
                 }
-                s.push(',');
-            }
-            if with_traffic {
-                s.push_str(&key.traffic.to_string());
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{},{},{},{},{}",
-                key.memory.label(),
-                r.ipc(),
-                r.stats.cycles,
-                r.stats.total_instrs,
-                r.stats.total_ops,
-            );
-            if with_traffic {
-                let t = &r.stats.traffic;
-                let _ = write!(
-                    s,
-                    ",{},{},{},{},{},{},{}",
-                    t.offered,
-                    t.completed,
-                    t.shed,
-                    t.p50_sojourn,
-                    t.p95_sojourn,
-                    t.p99_sojourn,
-                    t.mean_queue_depth,
-                );
-            }
-            if with_fleet {
-                let t = &r.stats.traffic;
-                match r.stats.fleet.as_ref() {
-                    Some(fs) => {
-                        let joined = |f: fn(&vliw_fleet::MachineLaneStats) -> u64| {
-                            fs.machines
-                                .iter()
-                                .map(|m| f(m).to_string())
-                                .collect::<Vec<_>>()
-                                .join("/")
-                        };
-                        let _ = write!(
-                            s,
-                            ",{},{},{},{},{},{}",
-                            fs.n_machines(),
-                            joined(|m| m.routed),
-                            joined(|m| m.shed),
-                            t.p50_sojourn,
-                            t.p95_sojourn,
-                            t.p99_sojourn,
-                        );
-                    }
-                    // Non-fleet cell: one machine, no routing or shedding
-                    // to report; the sojourn quantiles are the cell's own
-                    // (all-zero for closed cells).
-                    None => {
-                        let _ = write!(
-                            s,
-                            ",1,,,{},{},{}",
-                            t.p50_sojourn, t.p95_sojourn, t.p99_sojourn,
-                        );
-                    }
-                }
-            }
-            if with_telemetry {
-                let _ = write!(
-                    s,
-                    ",{},{},{}",
-                    r.stats.cache_hits, r.stats.cache_misses, r.stats.trace_dropped,
-                );
+                (c.value)(&key, r).csv(&mut s);
             }
             s.push('\n');
         }
         s
+    }
+}
+
+/// Which optional column groups an export carries: one per optional axis
+/// a plan named (scheduler, machine, fleet, traffic) and telemetry for
+/// metered runs. Shapes only widen: [`ResultSet::csv_rows`] takes the
+/// union of a requested shape and the set's own, which is how the `paper`
+/// binary fits every captured set under one header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ColumnShape(u8);
+
+/// Column-group bits of a [`ColumnShape`] (a column of group 0 is always
+/// present).
+const SCHEDULER: u8 = 1;
+const MACHINE: u8 = 2;
+const FLEET: u8 = 4;
+const TRAFFIC: u8 = 8;
+const TELEMETRY: u8 = 16;
+
+impl ColumnShape {
+    /// The groups of either shape.
+    pub fn union(self, other: ColumnShape) -> ColumnShape {
+        ColumnShape(self.0 | other.0)
+    }
+
+    /// The CSV header of rows in this shape.
+    pub fn csv_header(self) -> String {
+        let names: Vec<&str> = self.csv_columns().map(|c| c.name).collect();
+        names.join(",")
+    }
+
+    /// The columns of this shape, output order.
+    fn columns(self) -> impl Iterator<Item = &'static Column> {
+        COLUMNS.iter().filter(move |c| self.0 & c.group == c.group)
+    }
+
+    fn csv_columns(self) -> impl Iterator<Item = &'static Column> {
+        self.columns().filter(|c| c.csv)
+    }
+}
+
+/// One column of the CSV/JSON exports.
+struct Column {
+    /// CSV column and JSON field name.
+    name: &'static str,
+    /// The column group it belongs to (0 = always present).
+    group: u8,
+    /// For a key column, the set-level JSON array listing its axis.
+    plural: Option<&'static str>,
+    /// Whether the column is in the CSV; every column is a JSON field.
+    csv: bool,
+    value: fn(&JobKey, &RunResult) -> Value,
+}
+
+impl Column {
+    /// A key column: the cell's value on one grid axis.
+    const fn key(name: &'static str, plural: &'static str, group: u8, value: Cell) -> Self {
+        let plural = Some(plural);
+        Column {
+            name,
+            group,
+            plural,
+            csv: true,
+            value,
+        }
+    }
+
+    /// A metric in both the CSV and the JSON.
+    const fn both(group: u8, name: &'static str, value: Cell) -> Self {
+        Column {
+            name,
+            group,
+            plural: None,
+            csv: true,
+            value,
+        }
+    }
+
+    /// A metric in the JSON only.
+    const fn json(group: u8, name: &'static str, value: Cell) -> Self {
+        Column {
+            name,
+            group,
+            plural: None,
+            csv: false,
+            value,
+        }
+    }
+}
+
+/// How a column reads its value from a cell.
+type Cell = fn(&JobKey, &RunResult) -> Value;
+
+/// Every export column, in output order: the keys in grid order, the
+/// always-present metrics, then each group's metrics. The JSON object of
+/// a cell carries all columns of its shape plus the per-thread breakdown;
+/// the CSV carries those marked `csv`.
+static COLUMNS: [Column; 36] = [
+    Column::key("scheme", "schemes", 0, |k, _| text(k.scheme.name())),
+    Column::key("workload", "workloads", 0, |k, _| text(k.workload.name())),
+    Column::key("scheduler", "schedulers", SCHEDULER, |k, _| {
+        text(k.scheduler.name())
+    }),
+    Column::key("machine", "machines", MACHINE, |k, _| {
+        text(k.machine.label())
+    }),
+    // A plain cell widened into a fleet export is its own singleton fleet,
+    // labelled by its machine (the one-machine fleet spelling).
+    Column::key("fleet", "fleets", FLEET, |k, _| match &k.fleet {
+        Some(f) => text(f.label()),
+        None => text(k.machine.label()),
+    }),
+    Column::key("traffic", "traffics", TRAFFIC, |k, _| {
+        text(k.traffic.label())
+    }),
+    Column::key("memory", "axes", 0, |k, _| text(k.memory.label())),
+    Column::both(0, "ipc", |_, r| num(r.ipc())),
+    Column::both(0, "cycles", |_, r| num(r.stats.cycles)),
+    Column::both(0, "instrs", |_, r| num(r.stats.total_instrs)),
+    Column::both(0, "ops", |_, r| num(r.stats.total_ops)),
+    Column::json(0, "vertical_waste", |_, r| num(r.stats.vertical_waste())),
+    Column::json(0, "horizontal_waste", |_, r| {
+        num(r.stats.horizontal_waste())
+    }),
+    Column::json(0, "context_switches", |_, r| num(r.stats.context_switches)),
+    Column::json(SCHEDULER, "migrations", |_, r| num(r.stats.migrations)),
+    Column::json(SCHEDULER, "idle_context_cycles", |_, r| {
+        num(r.stats.idle_context_cycles)
+    }),
+    // Open-system metrics: admission counts, sojourn quantiles and queue
+    // depth (all zero for closed cells).
+    Column::both(TRAFFIC, "offered", |_, r| num(r.stats.traffic.offered)),
+    Column::both(TRAFFIC, "completed", |_, r| num(r.stats.traffic.completed)),
+    Column::both(TRAFFIC, "shed", |_, r| num(r.stats.traffic.shed)),
+    Column::both(TRAFFIC, "p50_sojourn", |_, r| {
+        num(r.stats.traffic.p50_sojourn)
+    }),
+    Column::both(TRAFFIC, "p95_sojourn", |_, r| {
+        num(r.stats.traffic.p95_sojourn)
+    }),
+    Column::both(TRAFFIC, "p99_sojourn", |_, r| {
+        num(r.stats.traffic.p99_sojourn)
+    }),
+    Column::json(TRAFFIC, "mean_sojourn", |_, r| {
+        num(r.stats.traffic.mean_sojourn)
+    }),
+    Column::json(TRAFFIC, "mean_wait", |_, r| num(r.stats.traffic.mean_wait)),
+    Column::both(TRAFFIC, "mean_queue_depth", |_, r| {
+        num(r.stats.traffic.mean_queue_depth)
+    }),
+    // Fleet metrics: per-machine values in fleet order (a plain cell is
+    // one machine that routed nothing); the sojourn quantiles are
+    // fleet-wide (merged sample multisets, not averaged per-machine
+    // quantiles).
+    Column::both(FLEET, "fleet_machines", |_, r| {
+        num(r.stats.fleet.as_ref().map_or(1, |f| f.n_machines()))
+    }),
+    Column::both(FLEET, "fleet_routed", |_, r| {
+        per_machine(r, |m| num(m.routed))
+    }),
+    Column::both(FLEET, "fleet_shed", |_, r| per_machine(r, |m| num(m.shed))),
+    Column::json(FLEET, "fleet_utilization", |_, r| {
+        per_machine(r, |m| num(m.utilization))
+    }),
+    Column::json(FLEET, "fleet_ipc", |_, r| per_machine(r, |m| num(m.ipc))),
+    Column::both(FLEET, "fleet_p50_sojourn", |_, r| {
+        num(r.stats.traffic.p50_sojourn)
+    }),
+    Column::both(FLEET, "fleet_p95_sojourn", |_, r| {
+        num(r.stats.traffic.p95_sojourn)
+    }),
+    Column::both(FLEET, "fleet_p99_sojourn", |_, r| {
+        num(r.stats.traffic.p99_sojourn)
+    }),
+    // Telemetry: statically-attributed image-cache economics and ring-sink
+    // trace drops, on metered runs.
+    Column::both(TELEMETRY, "cache_hits", |_, r| num(r.stats.cache_hits)),
+    Column::both(TELEMETRY, "cache_misses", |_, r| num(r.stats.cache_misses)),
+    Column::both(TELEMETRY, "trace_dropped", |_, r| {
+        num(r.stats.trace_dropped)
+    }),
+];
+
+/// One cell's value in one column.
+#[derive(Clone, PartialEq)]
+enum Value {
+    /// A name: JSON-quoted, CSV-quoted when needed.
+    Text(String),
+    /// A number, in its shortest round-trip `Display` form.
+    Num(String),
+    /// A list: a JSON array, slash-joined in CSV.
+    List(Vec<Value>),
+}
+
+fn text(s: impl Into<String>) -> Value {
+    Value::Text(s.into())
+}
+
+fn num(x: impl Display) -> Value {
+    Value::Num(x.to_string())
+}
+
+/// A value per machine of a fleet cell, fleet order (none for a plain
+/// cell).
+fn per_machine(r: &RunResult, f: fn(&vliw_fleet::MachineLaneStats) -> Value) -> Value {
+    let lanes = r.stats.fleet.iter().flat_map(|fs| &fs.machines);
+    Value::List(lanes.map(f).collect())
+}
+
+impl Value {
+    fn csv(&self, out: &mut String) {
+        match self {
+            Value::Text(s) => out.push_str(&csv_field(s)),
+            Value::Num(s) => out.push_str(s),
+            Value::List(xs) => {
+                for (i, x) in xs.iter().enumerate() {
+                    if i > 0 {
+                        out.push('/');
+                    }
+                    x.csv(out);
+                }
+            }
+        }
+    }
+
+    fn json(&self, out: &mut String) {
+        match self {
+            Value::Text(s) => json_string(out, s),
+            Value::Num(s) => out.push_str(s),
+            Value::List(xs) => {
+                out.push('[');
+                for (i, x) in xs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    x.json(out);
+                }
+                out.push(']');
+            }
+        }
     }
 }
 
@@ -2237,12 +1853,12 @@ mod tests {
             .scheduler(SchedulerSpec::Icount)
             .schedulers(["round-robin"]);
         assert_eq!(
-            plan.effective_schedulers(),
+            plan.grid.schedulers.values,
             vec![SchedulerSpec::Icount, SchedulerSpec::RoundRobin]
         );
         // No scheduler named: the paper's default, alone.
         assert_eq!(
-            Plan::new().effective_schedulers(),
+            Plan::new().grid.schedulers.values,
             vec![SchedulerSpec::PaperRandom]
         );
     }
@@ -2256,24 +1872,25 @@ mod tests {
             .scale(100_000)
             .run(&Session::with_parallelism(2));
         assert_eq!(set.len(), 4);
+        let q = CellQuery::default().scheme("1S").workload("LLHH");
         // 3-arg lookup resolves the first scheduler of the axis.
         assert_eq!(
             set.get("1S", "LLHH", MemoryModel::Real)
                 .unwrap()
                 .stats
                 .cycles,
-            set.get_sched("1S", "LLHH", SchedulerSpec::PaperRandom, MemoryModel::Real)
+            set.cell(&q.scheduler(SchedulerSpec::PaperRandom))
                 .unwrap()
                 .stats
                 .cycles
         );
         for spec in SchedulerSpec::all() {
             let r = set
-                .get_sched("1S", "LLHH", spec, MemoryModel::Real)
+                .cell(&q.scheduler(spec))
                 .unwrap_or_else(|| panic!("missing {spec} cell"));
             assert!(r.ipc() > 0.0);
         }
-        let means = set.scheduler_means("1S", MemoryModel::Real);
+        let means = set.means_by::<SchedulerSpec>(&q);
         assert_eq!(means.len(), 4);
         // Serialized exhibits carry the axis and per-cell labels.
         let json = set.to_json();
@@ -2283,7 +1900,10 @@ mod tests {
         assert!(json.contains("\"scheduler\":\"icount\""));
         assert!(json.contains("\"migrations\":"));
         let csv = set.to_csv();
-        assert_eq!(csv.lines().next(), Some(ResultSet::CSV_HEADER_SCHED));
+        assert_eq!(
+            csv.lines().next(),
+            Some("scheme,workload,scheduler,memory,ipc,cycles,instrs,ops")
+        );
         assert!(csv
             .lines()
             .any(|l| l.starts_with("1S,LLHH,cluster-affinity,real,")));
@@ -2300,7 +1920,10 @@ mod tests {
         assert!(!json.contains("\"schedulers\""), "no axis array: {json}");
         assert!(!json.contains("\"scheduler\""), "no per-cell field");
         assert!(!json.contains("\"migrations\""), "no new metrics");
-        assert_eq!(set.to_csv().lines().next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            set.to_csv().lines().next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
     }
 
     #[test]
@@ -2330,12 +1953,12 @@ mod tests {
             .machine("4x4+2+1".parse().unwrap())
             .machine(MachineSpec::Wide2x8);
         assert_eq!(
-            plan.effective_machines(),
+            plan.grid.machines.values,
             vec![MachineSpec::Paper4x4, MachineSpec::Wide2x8]
         );
         // No machine named: the paper geometry, alone.
         assert_eq!(
-            Plan::new().effective_machines(),
+            Plan::new().grid.machines.values,
             vec![MachineSpec::Paper4x4]
         );
     }
@@ -2349,36 +1972,37 @@ mod tests {
             .scale(100_000)
             .run(&Session::with_parallelism(2));
         assert_eq!(set.len(), 4);
+        let q = CellQuery::default().scheme("2SC3").workload("LLHH");
         // 3-arg lookup resolves the first machine of the axis.
         assert_eq!(
             set.get("2SC3", "LLHH", MemoryModel::Real)
                 .unwrap()
                 .stats
                 .cycles,
-            set.get_machine("2SC3", "LLHH", MachineSpec::Paper4x4, MemoryModel::Real)
+            set.cell(&q.machine(MachineSpec::Paper4x4))
                 .unwrap()
                 .stats
                 .cycles
         );
         for m in [MachineSpec::Paper4x4, MachineSpec::Wide2x8] {
             let r = set
-                .get_machine("2SC3", "LLHH", m, MemoryModel::Real)
+                .cell(&q.machine(m))
                 .unwrap_or_else(|| panic!("missing {m} cell"));
             assert!(r.ipc() > 0.0);
         }
         // The geometries genuinely differ (different compiled schedules).
         assert_ne!(
-            set.get_machine("2SC3", "LLHH", MachineSpec::Paper4x4, MemoryModel::Real)
+            set.cell(&q.machine(MachineSpec::Paper4x4))
                 .unwrap()
                 .stats
                 .cycles,
-            set.get_machine("2SC3", "LLHH", MachineSpec::Wide2x8, MemoryModel::Real)
+            set.cell(&q.machine(MachineSpec::Wide2x8))
                 .unwrap()
                 .stats
                 .cycles,
             "machine axis must be a real axis, not a relabeling"
         );
-        let means = set.machine_means("2SC3", MemoryModel::Real);
+        let means = set.means_by::<MachineSpec>(&q);
         assert_eq!(means.len(), 2);
         // hwcost coupling: costs follow the actual geometry, and the
         // area-efficiency aggregation is defined for merging schemes.
@@ -2405,7 +2029,10 @@ mod tests {
         );
         assert!(json.contains("\"machine\":\"2x8\""));
         let csv = set.to_csv();
-        assert_eq!(csv.lines().next(), Some(ResultSet::CSV_HEADER_MACHINE));
+        assert_eq!(
+            csv.lines().next(),
+            Some("scheme,workload,machine,memory,ipc,cycles,instrs,ops")
+        );
         assert!(csv.lines().any(|l| l.starts_with("2SC3,LLHH,2x8,real,")));
     }
 
@@ -2419,7 +2046,10 @@ mod tests {
         let json = set.to_json();
         assert!(!json.contains("\"machines\""), "no axis array: {json}");
         assert!(!json.contains("\"machine\""), "no per-cell field");
-        assert_eq!(set.to_csv().lines().next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            set.to_csv().lines().next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
         // The implicit machine is still addressable.
         assert_eq!(set.machines(), &[MachineSpec::Paper4x4]);
     }
@@ -2449,11 +2079,11 @@ mod tests {
             .arrival("poisson:0.020000".parse().unwrap())
             .arrivals([TrafficSpec::Closed]);
         assert_eq!(
-            plan.effective_traffics(),
+            plan.grid.traffics.values,
             vec!["poisson:0.02".parse().unwrap(), TrafficSpec::Closed]
         );
         // No arrival process named: closed (batch), alone.
-        assert_eq!(Plan::new().effective_traffics(), vec![TrafficSpec::Closed]);
+        assert_eq!(Plan::new().grid.traffics.values, vec![TrafficSpec::Closed]);
     }
 
     #[test]
@@ -2466,27 +2096,24 @@ mod tests {
             .scale(100_000)
             .run(&Session::with_parallelism(2));
         assert_eq!(set.len(), 2);
+        let q = CellQuery::default().scheme("1S").workload("LLHH");
         // 3-arg lookup resolves the first arrival process of the axis.
         assert_eq!(
             set.get("1S", "LLHH", MemoryModel::Real)
                 .unwrap()
                 .stats
                 .cycles,
-            set.get_traffic("1S", "LLHH", TrafficSpec::Closed, MemoryModel::Real)
+            set.cell(&q.traffic(TrafficSpec::Closed))
                 .unwrap()
                 .stats
                 .cycles
         );
-        let closed = set
-            .get_traffic("1S", "LLHH", TrafficSpec::Closed, MemoryModel::Real)
-            .unwrap();
-        let opened = set
-            .get_traffic("1S", "LLHH", open, MemoryModel::Real)
-            .unwrap();
+        let closed = set.cell(&q.traffic(TrafficSpec::Closed)).unwrap();
+        let opened = set.cell(&q.traffic(open)).unwrap();
         assert_eq!(closed.stats.traffic, Default::default());
         assert_eq!(opened.stats.traffic.offered, 4, "LLHH stages 4 jobs");
         assert!(opened.ipc() > 0.0);
-        let means = set.traffic_means("1S", MemoryModel::Real);
+        let means = set.means_by::<TrafficSpec>(&q);
         assert_eq!(means.len(), 2);
         assert_eq!(means[0].0, TrafficSpec::Closed);
         // Serialized exhibits carry the axis, per-cell labels and metrics.
@@ -2499,7 +2126,13 @@ mod tests {
         assert!(json.contains("\"offered\":4"));
         assert!(json.contains("\"p99_sojourn\":"));
         let csv = set.to_csv();
-        assert_eq!(csv.lines().next(), Some(ResultSet::CSV_HEADER_TRAFFIC));
+        assert_eq!(
+            csv.lines().next(),
+            Some(
+                "scheme,workload,traffic,memory,ipc,cycles,instrs,ops,offered,completed,shed,\
+                 p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth"
+            )
+        );
         assert!(
             csv.lines()
                 .any(|l| l.starts_with("1S,LLHH,poisson:0.002,real,")),
@@ -2518,7 +2151,10 @@ mod tests {
         assert!(!json.contains("\"traffics\""), "no axis array: {json}");
         assert!(!json.contains("\"traffic\""), "no per-cell field");
         assert!(!json.contains("\"offered\""), "no open-system metrics");
-        assert_eq!(set.to_csv().lines().next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            set.to_csv().lines().next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
         // The implicit closed process is still addressable.
         assert_eq!(set.traffics(), &[TrafficSpec::Closed]);
     }
@@ -2532,7 +2168,10 @@ mod tests {
             .machine(MachineSpec::Lite4x4)
             .scale(100_000)
             .run(&Session::with_parallelism(1));
-        assert_eq!(set.csv_header(), ResultSet::CSV_HEADER_SCHED_MACHINE);
+        assert_eq!(
+            set.shape().csv_header(),
+            "scheme,workload,scheduler,machine,memory,ipc,cycles,instrs,ops"
+        );
         let csv = set.to_csv();
         assert!(
             csv.lines()
@@ -2541,13 +2180,11 @@ mod tests {
         );
         let json = set.to_json();
         assert!(json.contains("\"scheduler\":\"icount\",\"machine\":\"4x4-lite\""));
+        let q = CellQuery::default().scheme("1S").workload("idct");
         assert!(set
-            .get_cell(
-                "1S",
-                "idct",
-                SchedulerSpec::Icount,
-                MachineSpec::Lite4x4,
-                MemoryModel::Real
+            .cell(
+                &q.scheduler(SchedulerSpec::Icount)
+                    .machine(MachineSpec::Lite4x4)
             )
             .is_some());
     }
@@ -2568,7 +2205,7 @@ mod tests {
             .axis(MemoryModel::Real)
             .axis(MemoryModel::Real)
             .axis(MemoryModel::Perfect);
-        assert_eq!(plan.effective_axes().len(), 2);
+        assert_eq!(plan.grid.memory.values.len(), 2);
     }
 
     #[test]
@@ -2711,7 +2348,10 @@ mod tests {
         );
         let csv = set.to_csv();
         let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(ResultSet::CSV_HEADER));
+        assert_eq!(
+            lines.next(),
+            Some("scheme,workload,memory,ipc,cycles,instrs,ops")
+        );
         let row = lines.next().unwrap();
         assert!(row.starts_with("ST,idct,real,"));
     }

@@ -340,35 +340,6 @@ where
     )
 }
 
-/// Run the full scheme × mix cross product in parallel, sharing one
-/// [`ImageCache`] across all workers (benchmark compilation happens once
-/// per benchmark, not once per run). Results come back in row-major order:
-/// `results[s * n_mixes + m]` is scheme `s` on mix `m`.
-///
-/// This is the positional, keep-it-simple contract: empty inputs return an
-/// empty vector and duplicate names are allowed (rows are addressed by
-/// index). For keyed lookup, aggregation and serialization on the same
-/// grid — at the price of unique names — use [`crate::plan::Plan`].
-pub fn run_sweep(
-    cache: &ImageCache,
-    schemes: &[vliw_core::MergeScheme],
-    mixes: &[&WorkloadMix],
-    scale: u64,
-    parallelism: usize,
-) -> Vec<RunResult> {
-    let jobs: Vec<(usize, &WorkloadMix)> = (0..schemes.len())
-        .flat_map(|s| mixes.iter().map(move |&mix| (s, mix)))
-        .collect();
-    run_jobs(
-        jobs,
-        |&(s, mix)| {
-            let cfg = SimConfig::paper(schemes[s].clone(), scale);
-            run_mix(cache, &cfg, mix).expect("sweep mixes are non-empty")
-        },
-        parallelism,
-    )
-}
-
 /// Default sweep parallelism: physical cores minus one, at least 1.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -419,19 +390,6 @@ mod tests {
         }
         // Same benchmark, same config -> identical results.
         assert_eq!(a[0].stats.total_ops, a[3].stats.total_ops);
-    }
-
-    #[test]
-    fn run_sweep_accepts_empty_and_duplicate_inputs() {
-        // The positional contract: no keyed lookup, so neither case is an
-        // error (unlike `Plan`, which requires unique names).
-        let cache = ImageCache::new();
-        assert!(run_sweep(&cache, &[], &[], 1000, 2).is_empty());
-        let s = catalog::by_name("1S").unwrap();
-        let mix = mixes::mix("LLHH").unwrap();
-        let out = run_sweep(&cache, &[s.clone(), s], &[mix], 100_000, 2);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].stats.cycles, out[1].stats.cycles);
     }
 
     #[test]

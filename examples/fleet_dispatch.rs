@@ -21,7 +21,7 @@
 //! north star.
 
 use vliw_tms::sim::experiments::traffic_workload;
-use vliw_tms::sim::plan::{FleetSpec, MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{CellQuery, FleetSpec, Plan, Session};
 
 fn main() {
     // The ladder: scale out homogeneously, then mix geometries and let
@@ -54,7 +54,7 @@ fn main() {
     );
     for fleet in &fleets {
         let r = set
-            .get_fleet("2SC3", "LLHH-x3", fleet, MemoryModel::Real)
+            .cell(&CellQuery::default().fleet(fleet))
             .expect("the plan covers every ladder rung");
         let fs = r.stats.fleet.as_ref().expect("fleet cells carry stats");
         let routed = fs
@@ -77,12 +77,8 @@ fn main() {
     }
 
     // The load-bearing observations, spelled out.
-    let one = set
-        .get_fleet("2SC3", "LLHH-x3", &fleets[0], MemoryModel::Real)
-        .unwrap();
-    let four = set
-        .get_fleet("2SC3", "LLHH-x3", &fleets[2], MemoryModel::Real)
-        .unwrap();
+    let one = set.cell(&CellQuery::default().fleet(&fleets[0])).unwrap();
+    let four = set.cell(&CellQuery::default().fleet(&fleets[2])).unwrap();
     println!(
         "\nscaling out 1 -> 4 machines cuts p95 sojourn {} -> {} cycles \
          at the same offered load",

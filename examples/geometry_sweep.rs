@@ -18,7 +18,7 @@
 //! FU mix) in the spirit of the §5.1 machine description and the
 //! Figure 9/11 cost analysis, priced per geometry.
 
-use vliw_tms::sim::plan::{MachineSpec, MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{CellQuery, MachineSpec, MemoryModel, Plan, Session};
 
 fn main() {
     let schemes = ["3CCC", "2SC3", "3SSS"];
@@ -37,7 +37,7 @@ fn main() {
     println!();
     for s in schemes {
         print!("{s:<8}");
-        for (_, ipc) in set.machine_means(s, MemoryModel::Real) {
+        for (_, ipc) in set.means_by::<MachineSpec>(&CellQuery::default().scheme(s)) {
             print!(" {ipc:>10.2}");
         }
         println!();

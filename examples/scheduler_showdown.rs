@@ -18,7 +18,7 @@
 //! 1M-cycle quantum) opened into a scheduling-policy axis — a
 //! beyond-the-paper ablation of the context-management policy.
 
-use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+use vliw_tms::sim::plan::{CellQuery, Plan, Session};
 use vliw_tms::sim::sched::SchedulerSpec;
 
 fn main() {
@@ -31,6 +31,8 @@ fn main() {
         .scale(2_000)
         .run(&Session::new());
 
+    let cell = CellQuery::default().scheme(scheme).workload(mix);
+
     println!("{mix} on the 2-context {scheme} machine, one row per OS policy:\n");
     println!(
         "{:<18} {:>6} {:>10} {:>9} {:>12} {:>10} {:>9}",
@@ -38,7 +40,7 @@ fn main() {
     );
     for spec in SchedulerSpec::all() {
         let r = set
-            .get_sched(scheme, mix, spec, MemoryModel::Real)
+            .cell(&cell.scheduler(spec))
             .expect("plan covers every scheduler");
         println!(
             "{:<18} {:>6.2} {:>10} {:>9} {:>12} {:>10} {:>9.3}",
@@ -54,11 +56,7 @@ fn main() {
 
     println!("\nper-thread retired instructions (scheduling fairness in the raw):");
     for spec in SchedulerSpec::all() {
-        let threads = &set
-            .get_sched(scheme, mix, spec, MemoryModel::Real)
-            .unwrap()
-            .stats
-            .threads;
+        let threads = &set.cell(&cell.scheduler(spec)).unwrap().stats.threads;
         let per: Vec<String> = threads
             .iter()
             .map(|t| format!("{}={}", t.name, t.instrs))

@@ -40,7 +40,7 @@
 //! key:
 //!
 //! ```
-//! use vliw_tms::sim::plan::{MemoryModel, Plan, Session};
+//! use vliw_tms::sim::plan::{CellQuery, MemoryModel, Plan, Session};
 //! use vliw_tms::sim::sched::SchedulerSpec;
 //!
 //! // The paper's headline scheme 2SC3 vs full SMT on the LLHH mix.
@@ -60,10 +60,11 @@
 //!     .schedulers([SchedulerSpec::PaperRandom, SchedulerSpec::Icount])
 //!     .scale(100_000)
 //!     .run(&Session::new());
-//! let icount = set
-//!     .ipc_sched("1S", "LLHH", SchedulerSpec::Icount, MemoryModel::Real)
-//!     .unwrap();
-//! assert!(icount > 0.0);
+//! let q = CellQuery::default().scheme("1S").workload("LLHH");
+//! let icount = set.cell(&q.scheduler(SchedulerSpec::Icount)).unwrap();
+//! assert!(icount.ipc() > 0.0);
+//! // Mean IPC over the workloads, one entry per policy.
+//! assert_eq!(set.means_by::<SchedulerSpec>(&q).len(), 2);
 //! ```
 
 pub use vliw_analyze as analyze;

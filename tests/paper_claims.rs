@@ -9,16 +9,21 @@
 use vliw_tms::core::catalog;
 use vliw_tms::hwcost::scheme_cost;
 use vliw_tms::sim::experiments;
+use vliw_tms::sim::plan::Session;
 
 const SCALE: u64 = 1000; // 100k instructions per thread
 const PAR: usize = 8;
+
+fn session() -> Session {
+    Session::with_parallelism(PAR)
+}
 
 /// Figure 4: multithreading scales — 4T SMT > 2T SMT > single thread, and
 /// the 4T-over-2T gain is in the paper's ballpark (+61%).
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig4_smt_scales_with_threads() {
-    let d = experiments::fig4(SCALE, PAR);
+    let d = experiments::fig4_data(&experiments::fig4_plan(SCALE).run(&session()));
     let [st, smt2, smt4] = d.averages();
     assert!(smt2 > st * 1.3, "2T {smt2:.2} vs 1T {st:.2}");
     assert!(smt4 > smt2 * 1.3, "4T {smt4:.2} vs 2T {smt2:.2}");
@@ -34,7 +39,7 @@ fn fig4_smt_scales_with_threads() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig6_smt_advantage_over_csmt() {
-    let d = experiments::fig6(SCALE, PAR);
+    let d = experiments::fig6_data(&experiments::fig6_plan(SCALE).run(&session()));
     for (mix, smt, csmt, _) in &d.rows {
         assert!(smt >= csmt, "{mix}: SMT {smt:.2} < CSMT {csmt:.2}");
     }
@@ -49,7 +54,7 @@ fn fig6_smt_advantage_over_csmt() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn headline_2sc3_tradeoff() {
-    let d = experiments::fig10(SCALE, PAR);
+    let d = experiments::fig10_data(&experiments::fig10_plan(SCALE).run(&session()));
     let avg = |n: &str| d.average_of(n).unwrap();
     let sc3 = avg("2SC3");
     assert!(
@@ -73,7 +78,7 @@ fn headline_2sc3_tradeoff() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn fig10_scheme_ordering() {
-    let d = experiments::fig10(SCALE, PAR);
+    let d = experiments::fig10_data(&experiments::fig10_plan(SCALE).run(&session()));
     let avg = |n: &str| d.average_of(n).unwrap();
     // Endpoints.
     for name in vliw_tms::core::catalog::paper_scheme_names() {
@@ -125,7 +130,7 @@ fn fig9_cost_claims() {
 #[test]
 #[ignore = "slow figure-shape pin (~2 min debug); CI runs the ignored tier in release"]
 fn table1_class_ordering() {
-    let rows = experiments::table1(SCALE, PAR);
+    let rows = experiments::table1_rows(&experiments::table1_plan(SCALE).run(&session()));
     let class_avg = |c: char| {
         let xs: Vec<f64> = rows.iter().filter(|r| r.ilp == c).map(|r| r.ipcp).collect();
         xs.iter().sum::<f64>() / xs.len() as f64

@@ -4,8 +4,17 @@
 //! (determinism + thread conservation under every built-in policy,
 //! per-geometry compilation and pricing).
 
-use vliw_tms::sim::plan::{MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec};
+use vliw_tms::sim::plan::{
+    CellQuery, ColumnShape, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec,
+};
 use vliw_tms::sim::sched::SchedulerSpec;
+
+/// The CSV header of a plan that names no optional axis.
+const DEFAULT_HEADER: &str = "scheme,workload,memory,ipc,cycles,instrs,ops";
+
+/// The traffic column group's metric columns.
+const TRAFFIC_METRICS: &str =
+    "offered,completed,shed,p50_sojourn,p95_sojourn,p99_sojourn,mean_queue_depth";
 
 fn test_plan() -> Plan {
     Plan::new()
@@ -106,7 +115,7 @@ fn csv_round_trips_keys_and_ipc_values() {
     let set = test_plan().run(&Session::with_parallelism(2));
     let csv = set.to_csv();
     let mut lines = csv.lines();
-    assert_eq!(lines.next(), Some(ResultSet::CSV_HEADER));
+    assert_eq!(lines.next(), Some(DEFAULT_HEADER));
     let rows: Vec<&str> = lines.collect();
     assert_eq!(rows.len(), set.len());
     for ((key, r), row) in set.iter().zip(&rows) {
@@ -141,14 +150,11 @@ fn scheduler_grid_is_byte_identical_across_worker_counts() {
         // Keyed lookup hits the documented row-major slot (schedulers
         // between workloads and memory axes).
         for (i, (key, r)) in set.iter().enumerate() {
-            let keyed = set
-                .get_sched(
-                    key.scheme.name(),
-                    key.workload.name(),
-                    key.scheduler,
-                    key.memory,
-                )
-                .unwrap();
+            let q = CellQuery::default()
+                .scheme(key.scheme.name())
+                .workload(key.workload.name())
+                .memory(key.memory);
+            let keyed = set.cell(&q.scheduler(key.scheduler)).unwrap();
             assert!(std::ptr::eq(keyed, r), "cell {i}");
             assert!(std::ptr::eq(r, &set.results()[i]), "cell {i}");
         }
@@ -163,11 +169,8 @@ fn scheduler_grid_is_byte_identical_across_worker_counts() {
     let cycles: Vec<u64> = SchedulerSpec::all()
         .iter()
         .map(|&spec| {
-            sets[0]
-                .get_sched("1S", "LLHH", spec, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles
+            let q = CellQuery::default().scheme("1S").workload("LLHH");
+            sets[0].cell(&q.scheduler(spec)).unwrap().stats.cycles
         })
         .collect();
     assert!(
@@ -234,14 +237,11 @@ fn machine_grid_is_byte_identical_across_worker_counts() {
         // Keyed lookup hits the documented row-major slot (machines
         // between schedulers and memory axes).
         for (i, (key, r)) in set.iter().enumerate() {
-            let keyed = set
-                .get_machine(
-                    key.scheme.name(),
-                    key.workload.name(),
-                    key.machine,
-                    key.memory,
-                )
-                .unwrap();
+            let q = CellQuery::default()
+                .scheme(key.scheme.name())
+                .workload(key.workload.name())
+                .memory(key.memory);
+            let keyed = set.cell(&q.machine(key.machine)).unwrap();
             assert!(std::ptr::eq(keyed, r), "cell {i}");
             assert!(std::ptr::eq(r, &set.results()[i]), "cell {i}");
         }
@@ -255,11 +255,8 @@ fn machine_grid_is_byte_identical_across_worker_counts() {
     let cycles: Vec<u64> = MachineSpec::presets()
         .iter()
         .map(|&m| {
-            sets[0]
-                .get_machine("2SC3", "LLHH", m, MemoryModel::Real)
-                .unwrap()
-                .stats
-                .cycles
+            let q = CellQuery::default().scheme("2SC3").workload("LLHH");
+            sets[0].cell(&q.machine(m)).unwrap().stats.cycles
         })
         .collect();
     assert!(
@@ -274,14 +271,11 @@ fn machine_grid_is_byte_identical_across_worker_counts() {
         .scale(50_000)
         .run(&Session::with_parallelism(2));
     for (key, r) in default_set.iter() {
-        let swept = sets[0]
-            .get_machine(
-                key.scheme.name(),
-                key.workload.name(),
-                MachineSpec::Paper4x4,
-                key.memory,
-            )
-            .unwrap();
+        let q = CellQuery::default()
+            .scheme(key.scheme.name())
+            .workload(key.workload.name())
+            .memory(key.memory);
+        let swept = sets[0].cell(&q.machine(MachineSpec::Paper4x4)).unwrap();
         assert_eq!(swept.stats.cycles, r.stats.cycles);
         assert_eq!(swept.stats.total_ops, r.stats.total_ops);
     }
@@ -295,10 +289,7 @@ fn machine_axis_serialization_is_gated_on_explicitness() {
     let base = || Plan::new().scheme("1S").workload("idct").scale(100_000);
     let default_set = base().run(&Session::with_parallelism(1));
     assert!(!default_set.to_json().contains("\"machine"));
-    assert_eq!(
-        default_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER)
-    );
+    assert_eq!(default_set.to_csv().lines().next(), Some(DEFAULT_HEADER));
 
     let machine_set = base()
         .machine(MachineSpec::Paper4x4)
@@ -308,7 +299,7 @@ fn machine_axis_serialization_is_gated_on_explicitness() {
     assert!(json.contains("\"machine\":\"paper-4x4\""));
     assert_eq!(
         machine_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER_MACHINE)
+        Some("scheme,workload,machine,memory,ipc,cycles,instrs,ops")
     );
     // Same machine, same seed: only the labels differ, not the physics.
     assert_eq!(
@@ -328,7 +319,10 @@ fn machine_axis_serialization_is_gated_on_explicitness() {
         .scheduler(SchedulerSpec::Icount)
         .machine(MachineSpec::Narrow8x2)
         .run(&Session::with_parallelism(1));
-    assert_eq!(both.csv_header(), ResultSet::CSV_HEADER_SCHED_MACHINE);
+    assert_eq!(
+        both.shape().csv_header(),
+        "scheme,workload,scheduler,machine,memory,ipc,cycles,instrs,ops"
+    );
     assert!(both
         .to_csv()
         .lines()
@@ -362,14 +356,11 @@ fn traffic_grid_is_byte_identical_across_worker_counts() {
         // Keyed lookup hits the documented row-major slot (traffic
         // between machines and memory axes).
         for (i, (key, r)) in set.iter().enumerate() {
-            let keyed = set
-                .get_traffic(
-                    key.scheme.name(),
-                    key.workload.name(),
-                    key.traffic,
-                    key.memory,
-                )
-                .unwrap();
+            let q = CellQuery::default()
+                .scheme(key.scheme.name())
+                .workload(key.workload.name())
+                .memory(key.memory);
+            let keyed = set.cell(&q.traffic(key.traffic)).unwrap();
             assert!(std::ptr::eq(keyed, r), "cell {i}");
             assert!(std::ptr::eq(r, &set.results()[i]), "cell {i}");
             // Open cells account for every arrival; closed cells stay
@@ -399,14 +390,11 @@ fn traffic_grid_is_byte_identical_across_worker_counts() {
         .scale(50_000)
         .run(&Session::with_parallelism(2));
     for (key, r) in default_set.iter() {
-        let swept = sets[0]
-            .get_traffic(
-                key.scheme.name(),
-                key.workload.name(),
-                TrafficSpec::Closed,
-                key.memory,
-            )
-            .unwrap();
+        let q = CellQuery::default()
+            .scheme(key.scheme.name())
+            .workload(key.workload.name())
+            .memory(key.memory);
+        let swept = sets[0].cell(&q.traffic(TrafficSpec::Closed)).unwrap();
         assert_eq!(swept.stats.cycles, r.stats.cycles);
         assert_eq!(swept.stats.total_ops, r.stats.total_ops);
     }
@@ -422,10 +410,7 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
     let default_set = base().run(&Session::with_parallelism(1));
     assert!(!default_set.to_json().contains("\"traffic"));
     assert!(!default_set.to_json().contains("\"offered\""));
-    assert_eq!(
-        default_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER)
-    );
+    assert_eq!(default_set.to_csv().lines().next(), Some(DEFAULT_HEADER));
 
     let spec: TrafficSpec = "poisson:0.005".parse().unwrap();
     let traffic_set = base().arrival(spec).run(&Session::with_parallelism(1));
@@ -434,8 +419,8 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
     assert!(json.contains("\"traffic\":\"poisson:0.005\""));
     assert!(json.contains("\"offered\":1"), "{json}");
     assert_eq!(
-        traffic_set.to_csv().lines().next(),
-        Some(ResultSet::CSV_HEADER_TRAFFIC)
+        traffic_set.to_csv().lines().next().unwrap(),
+        format!("scheme,workload,traffic,memory,ipc,cycles,instrs,ops,{TRAFFIC_METRICS}")
     );
 
     let all = base()
@@ -444,8 +429,11 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
         .arrival(spec)
         .run(&Session::with_parallelism(1));
     assert_eq!(
-        all.csv_header(),
-        ResultSet::CSV_HEADER_SCHED_MACHINE_TRAFFIC
+        all.shape().csv_header(),
+        format!(
+            "scheme,workload,scheduler,machine,traffic,memory,ipc,cycles,instrs,ops,\
+             {TRAFFIC_METRICS}"
+        )
     );
     assert!(all
         .to_csv()
@@ -455,12 +443,11 @@ fn traffic_axis_serialization_is_gated_on_explicitness() {
         .starts_with("1S,idct,icount,8x2,poisson:0.005,real,"));
 }
 
-/// Combined exports shape rows to an imposed column union: a set without
+/// Combined exports widen rows to a requested column shape: a set without
 /// an explicit machine axis can emit the `machine` column (carrying its
-/// default geometry) so it shares a header with a machine-sweeping set,
-/// but a swept axis can never be dropped.
+/// default geometry) so it shares a header with a machine-sweeping set.
 #[test]
-fn csv_rows_shaped_emits_forced_axis_columns() {
+fn csv_rows_widen_to_a_requested_shape() {
     let default_set = Plan::new()
         .scheme("1S")
         .workload("idct")
@@ -468,19 +455,22 @@ fn csv_rows_shaped_emits_forced_axis_columns() {
         .run(&Session::with_parallelism(1));
     // Its own serialization has no machine column...
     assert!(!default_set.to_csv().contains("paper-4x4"));
-    // ...but shaped to the union it carries the default geometry, and the
-    // row matches the corresponding shared header.
-    let shaped = default_set.csv_rows_shaped(Some("t"), false, true, false, false, false);
+    // ...but widened to a machine shape it carries the default geometry,
+    // and the row matches the corresponding shared header.
+    let machine = Plan::new().machine(MachineSpec::Paper4x4).shape();
+    let shaped = default_set.csv_rows(Some("t"), machine);
     assert!(shaped.starts_with("t,1S,idct,paper-4x4,real,"), "{shaped}");
     assert_eq!(
-        ResultSet::csv_header_for(false, true, false, false, false),
-        ResultSet::CSV_HEADER_MACHINE
+        machine.csv_header(),
+        "scheme,workload,machine,memory,ipc,cycles,instrs,ops"
     );
-    let both = default_set.csv_rows_shaped(None, true, true, false, false, false);
+    let sched = Plan::new().scheduler(SchedulerSpec::PaperRandom).shape();
+    let both = default_set.csv_rows(None, machine.union(sched));
     assert!(both.starts_with("1S,idct,paper-random,paper-4x4,real,"));
-    // Forcing the traffic column on a closed set carries the closed
+    // Widening a closed set into the traffic columns carries the closed
     // default plus all-zero open-system metrics.
-    let with_traffic = default_set.csv_rows_shaped(None, false, false, false, true, false);
+    let traffic = Plan::new().arrival(TrafficSpec::Closed).shape();
+    let with_traffic = default_set.csv_rows(None, traffic);
     assert!(
         with_traffic.starts_with("1S,idct,closed,real,"),
         "{with_traffic}"
@@ -490,21 +480,82 @@ fn csv_rows_shaped_emits_forced_axis_columns() {
         "{with_traffic}"
     );
     assert_eq!(
-        ResultSet::csv_header_for(false, false, false, true, false),
-        ResultSet::CSV_HEADER_TRAFFIC
+        traffic.csv_header(),
+        format!("scheme,workload,traffic,memory,ipc,cycles,instrs,ops,{TRAFFIC_METRICS}")
     );
 }
 
+/// A requested shape can only widen a set's rows: asking for none of the
+/// columns a set swept still emits them, so rows of different cells never
+/// collide.
 #[test]
-#[should_panic(expected = "cannot drop a swept axis column")]
-fn csv_rows_shaped_refuses_to_drop_a_swept_axis() {
+fn csv_rows_never_drop_a_swept_axis() {
     let set = Plan::new()
         .scheme("1S")
         .workload("idct")
         .machines([MachineSpec::Paper4x4, MachineSpec::Narrow8x2])
         .scale(100_000)
         .run(&Session::with_parallelism(1));
-    let _ = set.csv_rows_shaped(None, false, false, false, false, false);
+    let rows = set.csv_rows(None, ColumnShape::default());
+    assert_eq!(rows, set.csv_rows(None, set.shape()));
+    assert!(rows.starts_with("1S,idct,paper-4x4,real,"), "{rows}");
+    assert!(rows.contains("\n1S,idct,8x2,real,"), "{rows}");
+}
+
+/// Every combination of the optional column groups (scheduler, machine,
+/// fleet, traffic, telemetry — 32 shapes, each from a one-cell plan naming
+/// that subset of axes) is rectangular: the header has as many fields as
+/// every row, also after widening the set to any other shape.
+#[test]
+fn every_column_shape_is_rectangular() {
+    use vliw_tms::sim::plan::FleetSpec;
+    use vliw_tms::sim::telemetry::Registry;
+    let session = Session::with_parallelism(2);
+    let sets: Vec<ResultSet> = (0..32u32)
+        .map(|bits| {
+            let mut plan = Plan::new().scheme("1S").workload("idct").scale(500_000);
+            if bits & 1 != 0 {
+                plan = plan.scheduler(SchedulerSpec::Icount);
+            }
+            if bits & 2 != 0 {
+                plan = plan.machine(MachineSpec::Wide2x8);
+            }
+            if bits & 4 != 0 {
+                plan = plan.fleet("paper-4x4*2".parse::<FleetSpec>().unwrap());
+            }
+            if bits & 8 != 0 {
+                plan = plan.arrival("poisson:0.001".parse().unwrap());
+            }
+            if bits & 16 != 0 {
+                plan.run_metered(&session, &Registry::new())
+            } else {
+                plan.run(&session)
+            }
+        })
+        .collect();
+    let fields = |line: &str| line.split(',').count();
+    let shapes: Vec<ColumnShape> = sets.iter().map(ResultSet::shape).collect();
+    for (i, shape) in shapes.iter().enumerate() {
+        assert!(
+            !shapes[..i].contains(shape),
+            "every subset is its own shape"
+        );
+    }
+    for set in &sets {
+        for &shape in &shapes {
+            let widened = shape.union(set.shape());
+            let header = widened.csv_header();
+            let rows = set.csv_rows(None, shape);
+            assert_eq!(rows.lines().count(), set.len());
+            for row in rows.lines() {
+                assert_eq!(fields(row), fields(&header), "{header}\n{row}");
+            }
+        }
+        let csv = set.to_csv();
+        let mut lines = csv.lines();
+        let n = fields(lines.next().unwrap());
+        assert!(lines.all(|row| fields(row) == n), "{csv}");
+    }
 }
 
 /// The per-thread breakdown helper exposes `RunStats::threads` keyed by
@@ -667,8 +718,8 @@ fn traced_cells_conserve_and_export_byte_identically() {
 }
 
 /// The fleet axis (PR 9): a schemes x fleets grid under one arrival
-/// process serializes byte-identically across worker counts, keyed
-/// `get_fleet` lookup agrees with `iter`, and arrivals are conserved
+/// process serializes byte-identically across worker counts, a keyed
+/// fleet lookup agrees with `iter`, and arrivals are conserved
 /// fleet-wide (`completed + shed == offered`, routing counts sum to
 /// offered).
 #[test]
@@ -695,13 +746,15 @@ fn fleet_grid_is_worker_count_independent_and_conserves_arrivals() {
         assert_eq!(sets[0].to_csv(), set.to_csv(), "CSV across workers");
     }
     let set = &sets[0];
-    assert!(set.fleet_axis_is_explicit());
+    assert_eq!(set.fleets().count(), 2);
     assert_eq!(set.len(), 2 * 2);
     for (key, r) in set.iter() {
         let fleet = key.fleet.as_ref().expect("every cell is a fleet cell");
-        let keyed = set
-            .get_fleet(key.scheme.name(), key.workload.name(), fleet, key.memory)
-            .unwrap();
+        let q = CellQuery::default()
+            .scheme(key.scheme.name())
+            .workload(key.workload.name())
+            .memory(key.memory);
+        let keyed = set.cell(&q.fleet(fleet)).unwrap();
         assert!(std::ptr::eq(keyed, r), "keyed lookup hits the iter slot");
         let fs = r
             .stats
@@ -751,7 +804,7 @@ fn fleet_axis_stays_out_of_default_bytes() {
         .workload("idct")
         .scale(100_000)
         .run(&Session::with_parallelism(1));
-    assert!(!set.fleet_axis_is_explicit());
+    assert_eq!(set.fleets().count(), 0);
     assert!(
         !set.to_csv().contains("fleet"),
         "no fleet column by default"
@@ -761,14 +814,14 @@ fn fleet_axis_stays_out_of_default_bytes() {
         "no fleet field by default"
     );
     assert!(set.results()[0].stats.fleet.is_none());
-    // Shaped to a forced fleet union, the cell carries its single machine
+    // Widened to the fleet columns, the cell carries its single machine
     // as a singleton fleet (a machine spec is a valid fleet spelling) and
     // all-degenerate fleet metrics.
-    let shaped = set.csv_rows_shaped(None, false, false, true, false, false);
+    let fleet = Plan::new().fleet("paper-4x4".parse().unwrap()).shape();
+    let shaped = set.csv_rows(None, fleet);
     assert!(shaped.starts_with("1S,idct,paper-4x4,real,"), "{shaped}");
-    let n_commas_header = ResultSet::csv_header_for(false, false, true, false, false)
-        .matches(',')
-        .count();
+    assert!(shaped.trim_end().ends_with(",1,,,0,0,0"), "{shaped}");
+    let n_commas_header = fleet.csv_header().matches(',').count();
     assert_eq!(
         shaped.trim_end().matches(',').count(),
         n_commas_header,
@@ -861,20 +914,21 @@ fn metered_run_conserves_and_matches_unmetered_results() {
 /// The per-cell telemetry columns (`cache_hits`, `cache_misses`,
 /// `trace_dropped`) appear only on metered runs: default exports keep
 /// the historical byte shape, a metered set appends them after the fleet
-/// metric block, and the shaped-CSV escape hatch can force or drop them.
+/// metric block, and a combined export can widen other sets into them.
 #[test]
 fn telemetry_columns_gate_on_metered_runs() {
     use vliw_tms::sim::telemetry::Registry;
     let plan = || Plan::new().scheme("1S").workload("idct").scale(100_000);
     let base = plan().run(&Session::with_parallelism(1));
-    assert!(!base.telemetry_axis_is_explicit());
-    assert!(!base.csv_header().contains("cache_hits"), "default CSV");
+    assert!(
+        !base.shape().csv_header().contains("cache_hits"),
+        "default CSV"
+    );
     assert!(!base.to_json().contains("cache_hits"), "default JSON");
 
     let reg = Registry::new();
     let metered = plan().run_metered(&Session::with_parallelism(1), &reg);
-    assert!(metered.telemetry_axis_is_explicit());
-    let header = metered.csv_header();
+    let header = metered.shape().csv_header();
     assert!(
         header.ends_with(",cache_hits,cache_misses,trace_dropped"),
         "{header}"
@@ -888,16 +942,14 @@ fn telemetry_columns_gate_on_metered_runs() {
     let row = metered.to_csv().lines().nth(1).unwrap().to_string();
     assert!(row.ends_with(",0,1,0"), "1 miss, 0 hits, 0 drops: {row}");
     // Combined exports use the union shape: a non-metered set can be
-    // *forced into* the telemetry columns (always-on attribution fills
-    // them), while a metered set refuses to silently drop them.
-    let forced = base.csv_rows_shaped(None, false, false, false, false, true);
+    // widened into the telemetry columns (always-on attribution fills
+    // them), while a metered set keeps them under any requested shape.
+    let forced = base.csv_rows(None, metered.shape());
     assert!(forced.trim_end().ends_with(",0,1,0"), "{forced}");
-    let n_commas_header = ResultSet::csv_header_for(false, false, false, false, true)
-        .matches(',')
-        .count();
+    let n_commas_header = metered.shape().csv_header().matches(',').count();
     assert_eq!(forced.trim_end().matches(',').count(), n_commas_header);
-    assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        metered.csv_rows_shaped(None, false, false, false, false, false)
-    }))
-    .is_err());
+    assert_eq!(
+        metered.csv_rows(None, ColumnShape::default()),
+        metered.csv_rows(None, metered.shape())
+    );
 }
