@@ -1179,15 +1179,6 @@ impl AxisValue for TrafficSpec {
     }
 }
 
-impl AxisValue for MemoryModel {
-    fn values(set: &ResultSet) -> Vec<Self> {
-        set.axes().to_vec()
-    }
-    fn pin<'a>(&'a self, q: CellQuery<'a>) -> CellQuery<'a> {
-        q.memory(*self)
-    }
-}
-
 /// The keyed results of one executed [`Plan`].
 ///
 /// Storage is row-major over the plan's grid — schemes outermost, then
@@ -1426,60 +1417,36 @@ impl ResultSet {
     /// back yields the exact `f64`.
     pub fn to_json(&self) -> String {
         let columns: Vec<&Column> = self.shape().columns().collect();
-        let cells: Vec<(Vec<Value>, &RunResult)> = self
+        let cells: Vec<Vec<Value>> = self
             .iter()
-            .map(|(key, r)| (columns.iter().map(|c| (c.value)(&key, r)).collect(), r))
+            .map(|(key, r)| columns.iter().map(|c| (c.value)(&key, r)).collect())
             .collect();
-        let mut s = String::with_capacity(256 + 256 * cells.len());
-        let _ = write!(s, "{{\"scale\":{},\"priority\":", self.scale);
-        json_string(&mut s, priority_label(self.priority));
-        match self.seed {
-            Some(seed) => {
-                let _ = write!(s, ",\"seed\":{seed}");
-            }
-            None => s.push_str(",\"seed\":null"),
-        }
+        let seed = self
+            .seed
+            .map_or_else(|| "null".to_string(), |s| s.to_string());
+        let mut fields = vec![
+            ("scale", num(self.scale)),
+            ("priority", text(priority_label(self.priority))),
+            ("seed", Value::Num(seed)),
+        ];
         // Each key column's axis, as its distinct values in grid order.
         for (i, c) in columns.iter().enumerate() {
             let Some(plural) = c.plural else { continue };
-            let mut axis: Vec<&Value> = Vec::new();
-            for (values, _) in &cells {
-                if !axis.contains(&&values[i]) {
-                    axis.push(&values[i]);
+            let mut axis: Vec<Value> = Vec::new();
+            for values in &cells {
+                if !axis.contains(&values[i]) {
+                    axis.push(values[i].clone());
                 }
             }
-            let _ = write!(s, ",\"{plural}\":");
-            Value::List(axis.into_iter().cloned().collect()).json(&mut s);
+            fields.push((plural, Value::List(axis)));
         }
-        s.push_str(",\"results\":[");
-        for (i, (values, r)) in cells.iter().enumerate() {
-            s.push_str(if i > 0 { ",{" } else { "{" });
-            for (j, (c, v)) in columns.iter().zip(values).enumerate() {
-                let _ = write!(s, "{}\"{}\":", if j > 0 { "," } else { "" }, c.name);
-                v.json(&mut s);
-            }
-            s.push_str(",\"threads\":[");
-            for (j, t) in r.stats.threads.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str("{\"name\":");
-                json_string(&mut s, &t.name);
-                let _ = write!(
-                    s,
-                    ",\"tid\":{},\"instrs\":{},\"ops\":{},\"dstall\":{},\"istall\":{},\"branch_stall\":{},\"taken_branches\":{}}}",
-                    t.tid,
-                    t.instrs,
-                    t.ops,
-                    t.dstall_cycles,
-                    t.istall_cycles,
-                    t.branch_stall_cycles,
-                    t.taken_branches,
-                );
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
+        let names = || columns.iter().map(|c| c.name);
+        let results = cells
+            .into_iter()
+            .map(|v| Value::Object(names().zip(v).collect()));
+        fields.push(("results", Value::List(results.collect())));
+        let mut s = String::with_capacity(256 + 256 * self.results.len());
+        Value::Object(fields).json(&mut s);
         s
     }
 
@@ -1614,7 +1581,7 @@ type Cell = fn(&JobKey, &RunResult) -> Value;
 /// always-present metrics, then each group's metrics. The JSON object of
 /// a cell carries all columns of its shape plus the per-thread breakdown;
 /// the CSV carries those marked `csv`.
-static COLUMNS: [Column; 36] = [
+static COLUMNS: [Column; 37] = [
     Column::key("scheme", "schemes", 0, |k, _| text(k.scheme.name())),
     Column::key("workload", "workloads", 0, |k, _| text(k.workload.name())),
     Column::key("scheduler", "schedulers", SCHEDULER, |k, _| {
@@ -1698,9 +1665,12 @@ static COLUMNS: [Column; 36] = [
     Column::both(TELEMETRY, "trace_dropped", |_, r| {
         num(r.stats.trace_dropped)
     }),
+    Column::json(0, "threads", |_, r| {
+        Value::List(r.stats.threads.iter().map(thread).collect())
+    }),
 ];
 
-/// One cell's value in one column.
+/// One value of the exports.
 #[derive(Clone, PartialEq)]
 enum Value {
     /// A name: JSON-quoted, CSV-quoted when needed.
@@ -1709,6 +1679,8 @@ enum Value {
     Num(String),
     /// A list: a JSON array, slash-joined in CSV.
     List(Vec<Value>),
+    /// A JSON object (never in the CSV).
+    Object(Vec<(&'static str, Value)>),
 }
 
 fn text(s: impl Into<String>) -> Value {
@@ -1717,6 +1689,20 @@ fn text(s: impl Into<String>) -> Value {
 
 fn num(x: impl Display) -> Value {
     Value::Num(x.to_string())
+}
+
+/// One thread's row of a cell's per-thread breakdown.
+fn thread(t: &ThreadStats) -> Value {
+    Value::Object(vec![
+        ("name", text(&*t.name)),
+        ("tid", num(t.tid)),
+        ("instrs", num(t.instrs)),
+        ("ops", num(t.ops)),
+        ("dstall", num(t.dstall_cycles)),
+        ("istall", num(t.istall_cycles)),
+        ("branch_stall", num(t.branch_stall_cycles)),
+        ("taken_branches", num(t.taken_branches)),
+    ])
 }
 
 /// A value per machine of a fleet cell, fleet order (none for a plain
@@ -1739,6 +1725,7 @@ impl Value {
                     x.csv(out);
                 }
             }
+            Value::Object(_) => unreachable!("objects are JSON-only columns"),
         }
     }
 
@@ -1755,6 +1742,14 @@ impl Value {
                     x.json(out);
                 }
                 out.push(']');
+            }
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (name, x)) in fields.iter().enumerate() {
+                    let _ = write!(out, "{}\"{name}\":", if i > 0 { "," } else { "" });
+                    x.json(out);
+                }
+                out.push('}');
             }
         }
     }

@@ -748,6 +748,11 @@ fn fleet_grid_is_worker_count_independent_and_conserves_arrivals() {
     let set = &sets[0];
     assert_eq!(set.fleets().count(), 2);
     assert_eq!(set.len(), 2 * 2);
+    // Mean IPC per fleet, ladder order.
+    let means = set.means_by::<FleetSpec>(&CellQuery::default().scheme("2SC3"));
+    let labels: Vec<String> = means.iter().map(|(f, _)| f.label()).collect();
+    assert_eq!(labels, ["paper-4x4*2", "edge@least-queued"]);
+    assert!(means.iter().all(|(_, ipc)| *ipc > 0.0));
     for (key, r) in set.iter() {
         let fleet = key.fleet.as_ref().expect("every cell is a fleet cell");
         let q = CellQuery::default()
