@@ -583,7 +583,10 @@ fn main() {
                     };
                     sweeps.push((id, set));
                 }
-                let (_, set) = sweeps.iter().find(|(i, _)| i == id).expect("just run");
+                let (_, set) = sweeps
+                    .iter()
+                    .find(|(i, _)| i == id)
+                    .expect("the sweep was run above");
                 render(set)
             }
             Source::Traced { plan, render } => {
