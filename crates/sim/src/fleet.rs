@@ -21,7 +21,7 @@ use crate::config::SimConfig;
 use crate::os::{LaneOutcome, Machine};
 use crate::plan::WorkloadRef;
 use crate::runner::ImageCache;
-use crate::stats::RunStats;
+use crate::stats::{stall_rollup, RunStats};
 use crate::thread::{ProgramMeta, SoftThread};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -30,7 +30,7 @@ use vliw_core::MergeStats;
 use vliw_fleet::{FleetSpec, FleetStats, LaneView, MachineLaneStats};
 use vliw_mem::CacheStats;
 use vliw_telemetry::NullTelemetry;
-use vliw_trace::{StallBreakdown, StallKind, Trace, TraceEvent};
+use vliw_trace::{Trace, TraceEvent};
 use vliw_traffic::{ArrivalProcess, LatencySummary, TrafficStats};
 
 /// Static width hint of a compiled member: mean operations per VLIW
@@ -183,7 +183,6 @@ fn merge(
     let mut threads = Vec::new();
     let mut sojourns = LatencySummary::new();
     let mut waits = LatencySummary::new();
-    let mut stall_breakdown = StallBreakdown::new();
     let mut lane_stats = Vec::with_capacity(outcomes.len());
     let (mut offered, mut completed, mut shed) = (0u64, 0u64, 0u64);
     let mut depth_cycles = 0.0f64;
@@ -208,11 +207,6 @@ fn merge(
         });
     }
     threads.sort_by_key(|t| t.tid);
-    for t in &threads {
-        stall_breakdown.add(StallKind::ICacheMiss, t.istall_cycles);
-        stall_breakdown.add(StallKind::DCacheMiss, t.dstall_cycles);
-        stall_breakdown.add(StallKind::BranchBubble, t.branch_stall_cycles);
-    }
     let sum = |f: fn(&RunStats) -> u64| outcomes.iter().map(|o| f(&o.stats)).sum::<u64>();
     // Engine health rolls up across lanes: sums for queue traffic and
     // span counts, maxima for the high-water marks.
@@ -241,6 +235,7 @@ fn merge(
         // Fleet-wide slot bandwidth: the sum of the lanes' issue widths
         // (utilization() then reads ops over the pooled bandwidth).
         issue_width: outcomes.iter().map(|o| o.stats.issue_width).sum(),
+        stall_breakdown: stall_rollup(&threads),
         threads,
         // Merge-network and cache counters are per-machine concepts; the
         // fleet roll-up carries empty placeholders (they are not part of
@@ -255,7 +250,6 @@ fn merge(
             .unwrap_or_else(|| "paper-random".into()),
         migrations: sum(|s| s.migrations),
         idle_context_cycles: sum(|s| s.idle_context_cycles),
-        stall_breakdown,
         traffic,
         fleet: Some(FleetStats {
             machines: lane_stats,

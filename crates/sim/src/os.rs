@@ -7,38 +7,45 @@
 //! the policy picks the contexts to flush and the refill order. The
 //! default [`crate::sched::SchedulerSpec::PaperRandom`] reproduces the
 //! paper's model — full eviction, random refill "to improve fairness and
-//! to alleviate any bias" — bit-for-bit. The run ends when one thread
-//! retires its instruction budget.
+//! to alleviate any bias" — bit-for-bit.
 //!
 //! [`Machine`] itself is a thin driver: it owns the core, the thread pool
 //! and the metrics (switches, migrations, idle-context cycles), builds
 //! [`SchedView`] snapshots for the policy, and mechanically applies the
 //! returned decisions. It always backfills every free context while the
 //! pool is non-empty, so no policy can starve the core.
+//!
+//! Every run goes through one event loop: the core runs to the next OS
+//! event (a timeslice expiry or a staged arrival) in the machine's
+//! persistent event queue, the due events are handled, and waiting jobs
+//! are admitted. The loop stops at a cycle ceiling, or earlier by the
+//! machine's stop rule:
+//!
+//! * a closed (batch) run ends when the *first* thread retires its
+//!   instruction budget;
+//! * an open-system run retires every job's own budget and ends once
+//!   nothing is staged, queued, pooled or installed;
+//! * a fleet lane ([`Machine::open_lane`]) stops only at the ceiling its
+//!   fleet driver passes in, so an idle lane still advances its clock.
 
 use crate::config::SimConfig;
 use crate::core::Core;
 use crate::error::SimError;
-use crate::events::{EventQueue, QueueStats};
+use crate::events::EventQueue;
 use crate::sched::{affinity_groups, SchedView, Scheduler, ThreadView};
-use crate::stats::{RunStats, ThreadStats};
+use crate::stats::{stall_rollup, RunStats, ThreadStats};
 use crate::thread::SoftThread;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vliw_trace::{
-    NullSink, RecordingSink, RingSink, StallBreakdown, StallKind, Trace, TraceEvent, TraceSink,
-    TraceSpec,
-};
-use vliw_traffic::{
-    AdmissionQueue, ArrivalProcess, LatencySummary, Lifecycle, TrafficSpec, TrafficStats,
-};
+use vliw_trace::{NullSink, RecordingSink, RingSink, Trace, TraceEvent, TraceSink, TraceSpec};
+use vliw_traffic::{AdmissionQueue, ArrivalProcess, LatencySummary, Lifecycle, TrafficStats};
 
 /// An OS-level wakeup in the machine's event queue. Closed (batch) runs
-/// only ever schedule timeslice expiries; open-system runs additionally
-/// schedule one arrival per staged thread. The queue's `(cycle, seq)`
-/// ordering keeps the two sources deterministic relative to each other —
-/// arrivals are scheduled first, so at a tied cycle the arriving thread
-/// joins the queue before the expiry's refill runs.
+/// and fleet lanes only ever schedule timeslice expiries; open-system runs
+/// additionally schedule one arrival per staged thread. The queue's
+/// `(cycle, seq)` ordering keeps the two sources deterministic relative to
+/// each other — arrivals are scheduled first, so at a tied cycle the
+/// arriving thread joins the queue before the expiry's refill runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OsEvent {
     /// The running quantum ends: flush/refill per the scheduler policy.
@@ -46,6 +53,18 @@ enum OsEvent {
     /// The next staged software thread arrives at the machine
     /// (open-system mode; staged threads arrive in event order).
     Arrival,
+}
+
+/// How the event loop ends, besides its cycle ceiling (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// Closed batch: the first retired budget ends the run.
+    FirstBudget,
+    /// Self-driving open system: the run ends when the machine drains.
+    Drained,
+    /// Fleet lane: only the ceiling stops the loop.
+    Ceiling,
 }
 
 /// Multiprogramming limit per hardware context: at most this many jobs
@@ -74,10 +93,14 @@ pub struct Machine {
     issue_width: u32,
     trace_spec: TraceSpec,
     instr_budget: u64,
-    traffic: TrafficSpec,
+    stop: Stop,
+    /// The OS event queue. It persists across [`Machine::lane_advance`]
+    /// calls, so timeslice expiries keep their phase between a fleet's
+    /// stepping boundaries.
+    events: EventQueue<OsEvent>,
     /// Open-system mode: threads that have not arrived yet, paired with
     /// their deterministic arrival cycles (nondecreasing; front arrives
-    /// first). Always empty in closed mode.
+    /// first). Always empty in closed mode and on fleet lanes.
     staged: VecDeque<(u64, SoftThread)>,
     /// Open-system mode: arrived-but-unadmitted threads.
     queue: AdmissionQueue<SoftThread>,
@@ -87,18 +110,6 @@ pub struct Machine {
     lifecycles: Vec<Option<Lifecycle>>,
     /// Open-system mode: threads that retired their full budget.
     completed: Vec<SoftThread>,
-    /// Filled at the end of an open run; stays `Default` (all zeros) in
-    /// closed mode.
-    traffic_stats: TrafficStats,
-    /// Fleet-lane mode (see [`Machine::open_lane`]): the lane's persistent
-    /// OS event queue, carried across `lane_advance` calls so timeslice
-    /// expiries keep their phase between external stepping boundaries.
-    /// `None` for self-driving (non-lane) machines.
-    lane_events: Option<EventQueue<OsEvent>>,
-    /// OS event-queue counters harvested at the end of a self-driving run
-    /// (the queue itself is a run-loop local); merged into
-    /// [`crate::stats::EngineStats`] at collection.
-    os_queue_stats: QueueStats,
 }
 
 /// What one fleet lane hands back at collection time: its run statistics
@@ -136,29 +147,47 @@ impl Machine {
         if threads.is_empty() {
             return Err(SimError::EmptyWorkload);
         }
-        let sched_name: Arc<str> = scheduler.name().into();
-        // Closed mode: everything goes straight into the scheduler pool.
-        // Open mode: threads are staged on deterministic arrival cycles
-        // (a pure function of the traffic spec and the run seed) and
-        // reach the pool only through the admission queue.
-        let (pool, staged, lifecycles) = if cfg.traffic.is_closed() {
-            (threads, VecDeque::new(), Vec::new())
+        let stop = if cfg.traffic.is_closed() {
+            Stop::FirstBudget
         } else {
-            let arrivals = ArrivalProcess::take_cycles(cfg.traffic, cfg.seed, threads.len());
-            let max_tid = threads.iter().map(|t| t.tid).max().unwrap_or(0) as usize;
-            let staged: VecDeque<(u64, SoftThread)> = arrivals.into_iter().zip(threads).collect();
-            (Vec::new(), staged, vec![None; max_tid + 1])
+            Stop::Drained
         };
-        // Admission (the policy's initial pool order + the first context
-        // fill) happens at the start of `run_traced`, not here, so a trace
-        // sink observes the admission events and the cold install fetches.
-        Ok(Machine {
+        Ok(Self::build(cfg, threads, scheduler, stop))
+    }
+
+    /// The one constructor path. Closed mode puts `threads` straight into
+    /// the scheduler pool; open mode stages them on deterministic arrival
+    /// cycles (a pure function of the traffic spec and the run seed), so
+    /// they reach the pool only through the admission queue.
+    ///
+    /// Admission (the policy's initial pool order + the first context
+    /// fill) happens at the start of `run_traced`, not here, so a trace
+    /// sink observes the admission events and the cold install fetches.
+    fn build(
+        cfg: &SimConfig,
+        threads: Vec<SoftThread>,
+        scheduler: Box<dyn Scheduler>,
+        stop: Stop,
+    ) -> Machine {
+        let (pool, staged) = if stop == Stop::Drained {
+            let arrivals = ArrivalProcess::take_cycles(cfg.traffic, cfg.seed, threads.len());
+            (Vec::new(), arrivals.into_iter().zip(threads).collect())
+        } else {
+            (threads, VecDeque::new())
+        };
+        let timeslice = cfg.timeslice.max(1);
+        let mut events = EventQueue::new();
+        for &(cycle, _) in &staged {
+            events.schedule(cycle, OsEvent::Arrival);
+        }
+        events.schedule(timeslice, OsEvent::TimesliceExpiry);
+        Machine {
             core: Core::new(cfg),
             pool,
+            sched_name: scheduler.name().into(),
             scheduler,
-            sched_name,
             groups: affinity_groups(&cfg.scheme),
-            timeslice: cfg.timeslice.max(1),
+            timeslice,
             max_cycles: cfg.max_cycles,
             context_switches: 0,
             migrations: 0,
@@ -166,15 +195,13 @@ impl Machine {
             issue_width: cfg.machine.total_issue() as u32,
             trace_spec: cfg.trace,
             instr_budget: cfg.instr_budget,
-            traffic: cfg.traffic,
+            stop,
+            events,
             staged,
             queue: AdmissionQueue::bounded(QUEUE_CAP_PER_CONTEXT * cfg.n_contexts()),
-            lifecycles,
+            lifecycles: Vec::new(),
             completed: Vec::new(),
-            traffic_stats: TrafficStats::default(),
-            lane_events: None,
-            os_queue_stats: QueueStats::default(),
-        })
+        }
     }
 
     /// Snapshot the machine state into policy-visible views.
@@ -337,167 +364,89 @@ impl Machine {
     /// core and memory system emit). Statistics are identical to
     /// [`Machine::run`] — tracing observes, never perturbs.
     ///
-    /// Dispatches on the configured [`TrafficSpec`]: the historical
-    /// closed-batch loop for [`TrafficSpec::Closed`] (bit-for-bit the
-    /// pre-traffic code path), the open-system loop otherwise.
-    pub fn run_traced<S: TraceSink>(self, sink: &mut S) -> RunStats {
-        if self.traffic.is_closed() {
-            self.run_closed_traced(sink)
-        } else {
-            self.run_open_traced(sink)
-        }
+    /// A closed run (a closed [`SimConfig::traffic`]) ends when the first
+    /// thread retires its budget; an open run ends when the system
+    /// drains. Either way `max_cycles` caps it.
+    pub fn run_traced<S: TraceSink>(mut self, sink: &mut S) -> RunStats {
+        // Closed mode pooled the whole workload: this is the policy's
+        // initial order plus the first fill. Open mode has nothing yet.
+        self.admit_waiting(sink);
+        self.run_to(self.max_cycles, sink);
+        self.finish().stats
     }
 
-    /// The closed-batch loop: every thread is present from cycle 0 and
-    /// the run ends when the *first* thread retires the budget.
-    fn run_closed_traced<S: TraceSink>(mut self, sink: &mut S) -> RunStats {
-        // Admission: the policy's initial pool order, then the first fill.
-        self.reorder_pool(true);
-        self.fill_contexts(sink);
-        // OS-level wakeups go through a deterministic event queue; in
-        // closed mode the only source is the timeslice expiry (exactly one
-        // scheduled at any moment), and the core runs until the earliest
-        // event.
-        let mut os_events: EventQueue<OsEvent> = EventQueue::new();
-        os_events.schedule(self.timeslice, OsEvent::TimesliceExpiry);
-        while !self.core.budget_reached && self.core.cycle() < self.max_cycles {
-            let next_event = os_events
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
-            let limit = next_event.min(self.max_cycles);
+    /// The event loop: run the core to the next OS event (or `to`),
+    /// handle completions or the due events, admit waiting jobs, and
+    /// repeat until `to` or the machine's [`Stop`] rule ends the run.
+    fn run_to<S: TraceSink>(&mut self, to: u64, sink: &mut S) {
+        while self.core.cycle() < to && !(self.stop == Stop::Drained && self.lane_is_drained()) {
+            let next_event = self.events.peek_cycle().unwrap_or(to);
             let idle = self.core.idle_contexts() as u64;
             let before = self.core.cycle();
-            self.core.run_traced(limit, sink);
+            self.core.run_traced(next_event.min(to), sink);
             self.idle_context_cycles += idle * (self.core.cycle() - before);
             if self.core.budget_reached {
-                break;
-            }
-            if self.core.cycle() >= next_event {
-                let (expired, event) = os_events.pop().expect("peeked event still queued");
-                debug_assert_eq!(event, OsEvent::TimesliceExpiry);
-                self.quantum_expired(sink);
-                os_events.schedule(expired + self.timeslice, OsEvent::TimesliceExpiry);
-            }
-        }
-        self.os_queue_stats = os_events.stats();
-        self.collect()
-    }
-
-    /// The open-system loop: threads arrive on their staged cycles, wait
-    /// in the bounded admission queue under a multiprogramming limit, and
-    /// *each* job retires its own full instruction budget — the run ends
-    /// when the system drains (or at `max_cycles`).
-    fn run_open_traced<S: TraceSink>(mut self, sink: &mut S) -> RunStats {
-        let mut os_events: EventQueue<OsEvent> = EventQueue::new();
-        // Arrivals are scheduled before the first expiry, so at a tied
-        // cycle the (cycle, seq) order lets the arrival enqueue first.
-        for &(cycle, _) in &self.staged {
-            os_events.schedule(cycle, OsEvent::Arrival);
-        }
-        os_events.schedule(self.timeslice, OsEvent::TimesliceExpiry);
-        while self.core.cycle() < self.max_cycles && !self.open_done() {
-            let next_event = os_events
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
-            let limit = next_event.min(self.max_cycles);
-            let idle = self.core.idle_contexts() as u64;
-            let before = self.core.cycle();
-            self.core.run_traced(limit, sink);
-            self.idle_context_cycles += idle * (self.core.cycle() - before);
-            if self.core.budget_reached {
+                if self.stop == Stop::FirstBudget {
+                    break;
+                }
                 // A job finished mid-slice: completion, not end-of-run.
                 self.retire_completed(sink);
-                self.admit_waiting(sink);
-                continue;
-            }
-            // Drain every event due at the reached cycle (an arrival and
-            // an expiry can coincide).
-            while os_events
-                .peek_cycle()
-                .is_some_and(|c| c <= self.core.cycle())
-            {
-                let (at, event) = os_events.pop().expect("peeked event still queued");
-                match event {
-                    OsEvent::TimesliceExpiry => {
-                        self.quantum_expired(sink);
-                        os_events.schedule(at + self.timeslice, OsEvent::TimesliceExpiry);
+            } else {
+                // Drain every event due at the reached cycle (an arrival
+                // and an expiry can coincide).
+                while self
+                    .events
+                    .peek_cycle()
+                    .is_some_and(|c| c <= self.core.cycle())
+                {
+                    let (at, event) = self.events.pop().expect("peeked event still queued");
+                    match event {
+                        OsEvent::TimesliceExpiry => {
+                            self.quantum_expired(sink);
+                            self.events
+                                .schedule(at + self.timeslice, OsEvent::TimesliceExpiry);
+                        }
+                        OsEvent::Arrival => {
+                            if let Some((_, t)) = self.staged.pop_front() {
+                                self.offer(at, t, sink);
+                            }
+                        }
                     }
-                    OsEvent::Arrival => self.thread_arrived(at, sink),
                 }
             }
             self.admit_waiting(sink);
         }
-        // Summarize before `collect` drains the queue's leftovers.
-        let end = self.core.cycle();
-        let mut sojourn = LatencySummary::new();
-        let mut wait = LatencySummary::new();
-        for lc in self.lifecycles.iter().flatten() {
-            if let Some(s) = lc.sojourn() {
-                sojourn.record(s);
-            }
-            if let Some(w) = lc.wait() {
-                wait.record(w);
-            }
-        }
-        self.traffic_stats = TrafficStats::summarize(
-            self.queue.offered(),
-            self.completed.len() as u64,
-            self.queue.shed(),
-            &sojourn,
-            &wait,
-            self.queue.mean_depth(end),
-        );
-        self.os_queue_stats = os_events.stats();
-        self.collect()
     }
 
-    /// Whether the open system has fully drained: nothing staged, queued,
-    /// pooled, or installed.
-    fn open_done(&self) -> bool {
-        self.staged.is_empty()
-            && self.queue.is_empty()
-            && self.pool.is_empty()
-            && self.core.contexts.iter().all(Option::is_none)
-    }
-
-    /// Handle one arrival event: the front staged thread is offered to
-    /// the admission queue (or shed, and dropped, if it is full).
-    fn thread_arrived<S: TraceSink>(&mut self, at: u64, sink: &mut S) {
-        let (_, t) = self
-            .staged
-            .pop_front()
-            .expect("one arrival event per staged thread");
+    /// Offer a thread arriving at cycle `at` to the bounded admission
+    /// queue; returns whether it was shed (and dropped) at the door.
+    fn offer<S: TraceSink>(&mut self, at: u64, t: SoftThread, sink: &mut S) -> bool {
         let tid = t.tid;
+        if self.lifecycles.len() <= tid as usize {
+            self.lifecycles.resize(tid as usize + 1, None);
+        }
         // Queue bookkeeping is stamped with machine-observed time (the
         // queue requires nondecreasing stamps); the lifecycle and trace
         // keep the true arrival cycle, which is the same value whenever
         // the event is processed on time.
-        let now = self.core.cycle();
-        match self.queue.offer(now, t) {
-            Ok(()) => {
-                self.lifecycles[tid as usize] = Some(Lifecycle::arrived(at));
-                if S::ENABLED {
-                    sink.record(TraceEvent::ThreadArrival {
-                        cycle: at,
-                        tid,
-                        shed: false,
-                    });
-                    sink.record(TraceEvent::QueueDepth {
-                        cycle: at,
-                        depth: self.queue.len() as u32,
-                    });
-                }
-            }
-            Err(_shed) => {
-                if S::ENABLED {
-                    sink.record(TraceEvent::ThreadArrival {
-                        cycle: at,
-                        tid,
-                        shed: true,
-                    });
-                }
+        let shed = self.queue.offer(self.core.cycle(), t).is_err();
+        if !shed {
+            self.lifecycles[tid as usize] = Some(Lifecycle::arrived(at));
+        }
+        if S::ENABLED {
+            sink.record(TraceEvent::ThreadArrival {
+                cycle: at,
+                tid,
+                shed,
+            });
+            if !shed {
+                sink.record(TraceEvent::QueueDepth {
+                    cycle: at,
+                    depth: self.queue.len() as u32,
+                });
             }
         }
+        shed
     }
 
     /// Drain the admission queue into the scheduler pool while the
@@ -582,71 +531,14 @@ impl Machine {
     /// job retires its own budget and completes individually).
     pub fn open_lane(cfg: &SimConfig) -> Machine {
         let scheduler = cfg.scheduler.build(cfg.seed);
-        let sched_name: Arc<str> = scheduler.name().into();
-        let mut lane_events: EventQueue<OsEvent> = EventQueue::new();
-        lane_events.schedule(cfg.timeslice.max(1), OsEvent::TimesliceExpiry);
-        Machine {
-            core: Core::new(cfg),
-            pool: Vec::new(),
-            scheduler,
-            sched_name,
-            groups: affinity_groups(&cfg.scheme),
-            timeslice: cfg.timeslice.max(1),
-            max_cycles: cfg.max_cycles,
-            context_switches: 0,
-            migrations: 0,
-            idle_context_cycles: 0,
-            issue_width: cfg.machine.total_issue() as u32,
-            trace_spec: cfg.trace,
-            instr_budget: cfg.instr_budget,
-            traffic: cfg.traffic,
-            staged: VecDeque::new(),
-            queue: AdmissionQueue::bounded(QUEUE_CAP_PER_CONTEXT * cfg.n_contexts()),
-            lifecycles: Vec::new(),
-            completed: Vec::new(),
-            traffic_stats: TrafficStats::default(),
-            lane_events: Some(lane_events),
-            os_queue_stats: QueueStats::default(),
-        }
+        Self::build(cfg, Vec::new(), scheduler, Stop::Ceiling)
     }
 
-    /// Advance the lane to (at most) cycle `to`: run the core, retire
-    /// completed jobs, handle due timeslice expiries, and admit queued
-    /// jobs — the open-system loop under an external cycle ceiling. A
-    /// fully idle lane still advances its clock, so independent lanes
-    /// stay in lockstep between arrivals.
+    /// Advance the lane to (at most) cycle `to`: the machine's event loop
+    /// under an external cycle ceiling. A fully idle lane still advances
+    /// its clock, so independent lanes stay in lockstep between arrivals.
     pub fn lane_advance(&mut self, to: u64) {
-        let to = to.min(self.max_cycles);
-        let mut os_events = self
-            .lane_events
-            .take()
-            .expect("lane_advance on a non-lane machine");
-        while self.core.cycle() < to {
-            let next_event = os_events
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
-            let limit = next_event.min(to);
-            let idle = self.core.idle_contexts() as u64;
-            let before = self.core.cycle();
-            self.core.run_traced(limit, &mut NullSink);
-            self.idle_context_cycles += idle * (self.core.cycle() - before);
-            if self.core.budget_reached {
-                self.retire_completed(&mut NullSink);
-                self.admit_waiting(&mut NullSink);
-                continue;
-            }
-            while os_events
-                .peek_cycle()
-                .is_some_and(|c| c <= self.core.cycle())
-            {
-                let (at, event) = os_events.pop().expect("peeked event still queued");
-                debug_assert_eq!(event, OsEvent::TimesliceExpiry);
-                self.quantum_expired(&mut NullSink);
-                os_events.schedule(at + self.timeslice, OsEvent::TimesliceExpiry);
-            }
-            self.admit_waiting(&mut NullSink);
-        }
-        self.lane_events = Some(os_events);
+        self.run_to(to.min(self.max_cycles), &mut NullSink);
     }
 
     /// Inject an arriving thread (routed here by the fleet dispatcher) at
@@ -654,40 +546,26 @@ impl Machine {
     /// (or shed it), then admit and install as the multiprogramming limit
     /// allows. Returns whether the thread was shed at the queue's door.
     pub fn lane_inject(&mut self, t: SoftThread) -> bool {
-        let now = self.core.cycle();
-        let tid = t.tid;
-        if self.lifecycles.len() <= tid as usize {
-            self.lifecycles.resize(tid as usize + 1, None);
-        }
-        let shed = match self.queue.offer(now, t) {
-            Ok(()) => {
-                self.lifecycles[tid as usize] = Some(Lifecycle::arrived(now));
-                false
-            }
-            Err(_shed) => true,
-        };
+        let shed = self.offer(self.core.cycle(), t, &mut NullSink);
         self.admit_waiting(&mut NullSink);
         shed
     }
 
     /// Drain the lane: advance expiry by expiry until nothing is queued,
-    /// pooled, or installed (or `max_cycles` caps the run).
+    /// pooled, or installed (or `max_cycles` caps the run). The lane thus
+    /// ends on the first timeslice expiry after it drains.
     pub fn lane_run_to_completion(&mut self) {
         while self.core.cycle() < self.max_cycles && !self.lane_is_drained() {
-            let next = self
-                .lane_events
-                .as_ref()
-                .expect("lane_run_to_completion on a non-lane machine")
-                .peek_cycle()
-                .expect("a timeslice expiry is always scheduled");
+            let next = self.events.peek_cycle().unwrap_or(self.max_cycles);
             self.lane_advance(next);
         }
     }
 
-    /// Whether the lane holds no work: empty queue, empty pool, and no
-    /// installed threads.
+    /// Whether the machine holds no work: nothing staged, queued, pooled,
+    /// or installed.
     pub fn lane_is_drained(&self) -> bool {
-        self.queue.is_empty()
+        self.staged.is_empty()
+            && self.queue.is_empty()
             && self.pool.is_empty()
             && self.core.contexts.iter().all(Option::is_none)
     }
@@ -711,31 +589,8 @@ impl Machine {
     /// Summarize and collect the lane: its own [`RunStats`] (traffic block
     /// filled from this lane's counters) plus the raw latency multisets
     /// for exact fleet-wide quantile merging.
-    pub fn lane_collect(mut self) -> LaneOutcome {
-        let end = self.core.cycle();
-        let mut sojourns = LatencySummary::new();
-        let mut waits = LatencySummary::new();
-        for lc in self.lifecycles.iter().flatten() {
-            if let Some(s) = lc.sojourn() {
-                sojourns.record(s);
-            }
-            if let Some(w) = lc.wait() {
-                waits.record(w);
-            }
-        }
-        self.traffic_stats = TrafficStats::summarize(
-            self.queue.offered(),
-            self.completed.len() as u64,
-            self.queue.shed(),
-            &sojourns,
-            &waits,
-            self.queue.mean_depth(end),
-        );
-        LaneOutcome {
-            stats: self.collect(),
-            sojourns,
-            waits,
-        }
+    pub fn lane_collect(self) -> LaneOutcome {
+        self.finish()
     }
 
     /// Run to completion collecting a [`Trace`] alongside the statistics.
@@ -780,17 +635,42 @@ impl Machine {
         (stats, trace)
     }
 
-    /// Gather statistics from the core and all threads.
-    fn collect(mut self) -> RunStats {
-        // Engine health: the core's idle-span structure (trailing span
-        // flushed) plus whichever OS event queue drove the run — the
-        // run-loop local (harvested into `os_queue_stats`) or the lane's
-        // persistent queue.
-        let mut engine = self.core.take_idle_spans();
-        engine.absorb_queue(self.os_queue_stats);
-        if let Some(q) = &self.lane_events {
-            engine.absorb_queue(q.stats());
+    /// The shared epilogue: summarize the traffic (all zeros for a closed
+    /// run, which offers nothing) before `collect` drains the queue's
+    /// leftovers, then collect.
+    fn finish(mut self) -> LaneOutcome {
+        let end = self.core.cycle();
+        let mut sojourns = LatencySummary::new();
+        let mut waits = LatencySummary::new();
+        for lc in self.lifecycles.iter().flatten() {
+            if let Some(s) = lc.sojourn() {
+                sojourns.record(s);
+            }
+            if let Some(w) = lc.wait() {
+                waits.record(w);
+            }
         }
+        let traffic = TrafficStats::summarize(
+            self.queue.offered(),
+            self.completed.len() as u64,
+            self.queue.shed(),
+            &sojourns,
+            &waits,
+            self.queue.mean_depth(end),
+        );
+        LaneOutcome {
+            stats: self.collect(traffic),
+            sojourns,
+            waits,
+        }
+    }
+
+    /// Gather statistics from the core and all threads.
+    fn collect(mut self, traffic: TrafficStats) -> RunStats {
+        // Engine health: the core's idle-span structure (trailing span
+        // flushed) plus the OS event queue that drove the run.
+        let mut engine = self.core.take_idle_spans();
+        engine.absorb_queue(self.events.stats());
         for ctx in 0..self.core.contexts.len() {
             if let Some(t) = self.core.evict(ctx) {
                 self.pool.push(t);
@@ -807,13 +687,7 @@ impl Machine {
         }
         self.pool.extend(self.staged.drain(..).map(|(_, t)| t));
         self.pool.sort_by_key(|t| t.tid);
-        let mut stall_breakdown = StallBreakdown::new();
-        for t in &self.pool {
-            stall_breakdown.add(StallKind::ICacheMiss, t.istall_cycles);
-            stall_breakdown.add(StallKind::DCacheMiss, t.dstall_cycles);
-            stall_breakdown.add(StallKind::BranchBubble, t.branch_stall_cycles);
-        }
-        let threads = self
+        let threads: Vec<ThreadStats> = self
             .pool
             .iter()
             .map(|t| ThreadStats {
@@ -835,6 +709,7 @@ impl Machine {
             vertical_waste_cycles: self.core.vertical_waste_cycles(),
             horizontal_waste_slots: self.core.horizontal_waste_slots(),
             issue_width: self.issue_width,
+            stall_breakdown: stall_rollup(&threads),
             threads,
             merge: self.core.merge_stats.clone(),
             icache: self.core.mem.icache_stats().clone(),
@@ -843,8 +718,7 @@ impl Machine {
             scheduler: self.sched_name,
             migrations: self.migrations,
             idle_context_cycles: self.idle_context_cycles,
-            stall_breakdown,
-            traffic: self.traffic_stats,
+            traffic,
             fleet: None,
             engine,
             cache_hits: 0,
@@ -861,6 +735,7 @@ mod tests {
     use crate::thread::ProgramMeta;
     use vliw_core::catalog;
     use vliw_isa::MachineConfig;
+    use vliw_trace::StallBreakdown;
     use vliw_workloads::build_named;
 
     fn threads(names: &[&str], seed: u64) -> Vec<SoftThread> {
@@ -1225,6 +1100,11 @@ mod tests {
         assert!(lane.lane_in_flight() > 0);
         lane.lane_run_to_completion();
         assert!(lane.lane_is_drained());
+        // A drained lane stops on the first timeslice expiry after it
+        // drains, not at the last completion: the `cycles` and
+        // `context_switches` of `tests/golden/fleet-4x4x2.{json,csv}`
+        // depend on it.
+        assert_eq!(lane.lane_cycle() % cfg.timeslice, 0);
         let out = lane.lane_collect();
         let t = &out.stats.traffic;
         assert_eq!(t.offered, 4);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vliw_core::MergeStats;
 use vliw_fleet::FleetStats;
 use vliw_mem::CacheStats;
-use vliw_trace::StallBreakdown;
+use vliw_trace::{StallBreakdown, StallKind};
 use vliw_traffic::TrafficStats;
 
 /// Inclusive upper bounds of [`EngineStats::idle_span_hist`]'s buckets
@@ -107,6 +107,18 @@ pub struct ThreadStats {
     /// serialized (JSON/CSV exhibits are a byte-stable compatibility
     /// surface).
     pub rng_state: u64,
+}
+
+/// Roll the per-thread stall counters up into a [`StallBreakdown`] (the
+/// [`RunStats::stall_breakdown`] of a machine or a whole fleet).
+pub(crate) fn stall_rollup(threads: &[ThreadStats]) -> StallBreakdown {
+    let mut breakdown = StallBreakdown::new();
+    for t in threads {
+        breakdown.add(StallKind::ICacheMiss, t.istall_cycles);
+        breakdown.add(StallKind::DCacheMiss, t.dstall_cycles);
+        breakdown.add(StallKind::BranchBubble, t.branch_stall_cycles);
+    }
+    breakdown
 }
 
 /// Full result of one simulation run.
