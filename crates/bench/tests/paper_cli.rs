@@ -120,6 +120,35 @@ fn golden_telemetry_columns() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The rendered exhibit text of `paper all` is byte-identical to
+/// `paper-all.txt`, minus the final wall-clock `done in …` line.
+#[test]
+fn golden_stdout() {
+    let dir = scratch("stdout");
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .arg("all")
+        .args(GOLDEN_ARGS)
+        .arg("--out")
+        .arg(dir.join("results"))
+        .output()
+        .expect("run paper");
+    assert!(
+        out.status.success(),
+        "paper all failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let (text, last) = stdout
+        .trim_end_matches('\n')
+        .rsplit_once('\n')
+        .expect("multi-line stdout");
+    assert!(last.starts_with("done in "), "last line: {last:?}");
+    let got = dir.join("paper-all.txt");
+    std::fs::write(&got, format!("{text}\n")).expect("write stdout");
+    assert_golden("paper-all.txt", &got);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--scale 0` would clamp to a full-length run; it is rejected up front
 /// like `--threads 0`, before anything is simulated.
 #[test]
