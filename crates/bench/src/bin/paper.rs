@@ -124,10 +124,11 @@ enum Source {
         plan: fn(u64) -> Plan,
         render: fn(&ResultSet) -> Exhibit,
     },
-    /// A simulated sweep run with every cell traced (never metered).
+    /// A simulated sweep run with every cell traced (never metered),
+    /// each cell mapped to its row on the worker that ran it.
     Traced {
         plan: fn(u64) -> Plan,
-        render: fn(&experiments::TraceData) -> Exhibit,
+        render: fn(&[experiments::TraceRow]) -> Exhibit,
     },
 }
 
@@ -209,7 +210,7 @@ const EXHIBITS: [(&str, Source); 14] = [
         Source::Sweep {
             id: "geometry",
             plan: experiments::geometry_plan,
-            render: |set| figures::geometry_from(&experiments::geometry_data(set)),
+            render: figures::geometry_from,
         },
     ),
     (
@@ -224,7 +225,7 @@ const EXHIBITS: [(&str, Source); 14] = [
         Source::Sweep {
             id: "traffic",
             plan: experiments::traffic_plan,
-            render: |set| figures::traffic_from(&experiments::traffic_data(set)),
+            render: figures::traffic_from,
         },
     ),
     (
@@ -232,7 +233,7 @@ const EXHIBITS: [(&str, Source); 14] = [
         Source::Sweep {
             id: "fleet",
             plan: experiments::fleet_plan,
-            render: |set| figures::fleet_from(&experiments::fleet_data(set)),
+            render: figures::fleet_from,
         },
     ),
 ];
@@ -590,9 +591,10 @@ fn main() {
                 render(set)
             }
             Source::Traced { plan, render } => {
-                let (set, d) = experiments::trace_data(&with_axes(plan(scale)), &session);
+                let plan = with_axes(plan(scale));
+                let (set, rows) = plan.run_traced(&session, experiments::TraceRow::of);
                 sweeps.push(("trace", set));
-                render(&d)
+                render(&rows)
             }
         };
         println!("{}", exhibit.text);

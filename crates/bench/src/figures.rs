@@ -3,6 +3,7 @@
 use crate::{f2, pct, Exhibit, TextTable};
 use vliw_hwcost::{fig5_sweep, scheme_cost};
 use vliw_sim::experiments;
+use vliw_sim::plan::{CellQuery, MemoryModel, ResultSet};
 use vliw_workloads::{all_benchmarks, table2_mixes};
 
 /// Table 1: benchmark suite with measured vs paper IPCr/IPCp, rendered
@@ -233,8 +234,10 @@ pub fn headline_from(d: &experiments::Fig10Data) -> Exhibit {
     }
 }
 
-/// Geometry exhibit (beyond the paper): schemes across machine shapes.
-pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
+/// Geometry exhibit (beyond the paper): schemes across machine shapes,
+/// machine outermost, rendered from an executed
+/// [`experiments::geometry_plan`].
+pub fn geometry_from(set: &ResultSet) -> Exhibit {
     let mut t = TextTable::new(&[
         "machine",
         "scheme",
@@ -243,15 +246,24 @@ pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
         "gate delays",
         "IPC/kT",
     ]);
-    for r in rows {
-        t.row(vec![
-            r.machine.label(),
-            r.scheme.clone(),
-            f2(r.mean_ipc),
-            r.transistors.to_string(),
-            r.gate_delays.to_string(),
-            r.ipc_per_ktrans.map(f2).unwrap_or_default(),
-        ]);
+    for &machine in set.machines() {
+        for scheme in set.schemes() {
+            let s = scheme.name();
+            let q = CellQuery::default().scheme(s).machine(machine);
+            let (Some(cost), Some(ipc)) = (set.merge_cost(s, machine), set.mean(&q)) else {
+                continue;
+            };
+            t.row(vec![
+                machine.label(),
+                s.to_string(),
+                f2(ipc),
+                cost.transistors.to_string(),
+                cost.gate_delays.to_string(),
+                set.ipc_per_area(s, machine, MemoryModel::Real)
+                    .map(f2)
+                    .unwrap_or_default(),
+            ]);
+        }
     }
     Exhibit {
         id: "geometry".into(),
@@ -266,8 +278,9 @@ pub fn geometry_from(rows: &[experiments::GeometryRow]) -> Exhibit {
 }
 
 /// Trace exhibit (beyond the paper): cycle-level decomposition of the
-/// Figure-6 cell pair from full event traces.
-pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
+/// Figure-6 cell pair, from the rows [`experiments::TraceRow::of`] maps
+/// out of each cell's full event trace.
+pub fn trace_from(rows: &[experiments::TraceRow]) -> Exhibit {
     let mut t = TextTable::new(&[
         "cell",
         "workload",
@@ -282,7 +295,7 @@ pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
         "occupancy",
         "events",
     ]);
-    for r in &d.rows {
+    for r in rows {
         t.row(vec![
             r.label.clone(),
             r.workload.clone(),
@@ -313,8 +326,10 @@ pub fn trace_from(d: &experiments::TraceData) -> Exhibit {
 }
 
 /// Traffic exhibit (beyond the paper): latency vs offered load for the
-/// reference schemes on the 12-job open-system stream.
-pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
+/// reference schemes on the 12-job open-system stream, one row per
+/// (scheme, load), rendered from an executed
+/// [`experiments::traffic_plan`].
+pub fn traffic_from(set: &ResultSet) -> Exhibit {
     let mut t = TextTable::new(&[
         "scheme",
         "arrivals",
@@ -328,20 +343,25 @@ pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
         "mean queue",
         "IPC",
     ]);
-    for r in &d.rows {
-        t.row(vec![
-            r.scheme.clone(),
-            r.traffic.to_string(),
-            format!("{}", r.rate),
-            r.offered.to_string(),
-            r.completed.to_string(),
-            r.shed.to_string(),
-            r.p50.to_string(),
-            r.p95.to_string(),
-            r.p99.to_string(),
-            f2(r.mean_queue_depth),
-            f2(r.ipc),
-        ]);
+    for scheme in set.schemes() {
+        for &traffic in set.traffics() {
+            let q = CellQuery::default().scheme(scheme.name()).traffic(traffic);
+            let Some(r) = set.cell(&q) else { continue };
+            let s = &r.stats.traffic;
+            t.row(vec![
+                scheme.name().to_string(),
+                traffic.to_string(),
+                format!("{}", traffic.offered_rate()),
+                s.offered.to_string(),
+                s.completed.to_string(),
+                s.shed.to_string(),
+                s.p50_sojourn.to_string(),
+                s.p95_sojourn.to_string(),
+                s.p99_sojourn.to_string(),
+                f2(s.mean_queue_depth),
+                f2(r.ipc()),
+            ]);
+        }
     }
     Exhibit {
         id: "traffic".into(),
@@ -359,8 +379,9 @@ pub fn traffic_from(d: &experiments::TrafficData) -> Exhibit {
 
 /// Fleet exhibit (beyond the paper): the fleet ladder under one saturating
 /// arrival process — homogeneous scaling plus the dispatcher showdown on
-/// the heterogeneous edge mix.
-pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
+/// the heterogeneous edge mix — rendered from an executed
+/// [`experiments::fleet_plan`].
+pub fn fleet_from(set: &ResultSet) -> Exhibit {
     let mut t = TextTable::new(&[
         "fleet",
         "machines",
@@ -374,26 +395,27 @@ pub fn fleet_from(d: &experiments::FleetData) -> Exhibit {
         "p99 sojourn",
         "IPC",
     ]);
-    for r in &d.rows {
-        let routed = r
-            .routed
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join("/");
-        t.row(vec![
-            r.fleet.label(),
-            r.machines.to_string(),
-            r.dispatcher.clone(),
-            r.offered.to_string(),
-            r.completed.to_string(),
-            r.shed.to_string(),
-            routed,
-            r.p50.to_string(),
-            r.p95.to_string(),
-            r.p99.to_string(),
-            f2(r.ipc),
-        ]);
+    for scheme in set.schemes() {
+        for fleet in set.fleets() {
+            let q = CellQuery::default().scheme(scheme.name()).fleet(fleet);
+            let Some(r) = set.cell(&q) else { continue };
+            let s = &r.stats.traffic;
+            let lanes = r.stats.fleet.iter().flat_map(|f| &f.machines);
+            let routed: Vec<String> = lanes.map(|m| m.routed.to_string()).collect();
+            t.row(vec![
+                fleet.label(),
+                fleet.n_machines().to_string(),
+                fleet.dispatcher.name().to_string(),
+                s.offered.to_string(),
+                s.completed.to_string(),
+                s.shed.to_string(),
+                routed.join("/"),
+                s.p50_sojourn.to_string(),
+                s.p95_sojourn.to_string(),
+                s.p99_sojourn.to_string(),
+                f2(r.ipc()),
+            ]);
+        }
     }
     Exhibit {
         id: "fleet".into(),
@@ -450,7 +472,7 @@ mod tests {
     #[test]
     fn traffic_exhibit_renders_the_load_ladder() {
         let set = experiments::traffic_plan(100_000).run(&Session::with_parallelism(8));
-        let ex = traffic_from(&experiments::traffic_data(&set));
+        let ex = traffic_from(&set);
         assert_eq!(ex.id, "traffic");
         assert!(ex.text.contains("Open-system traffic"));
         for load in experiments::TRAFFIC_LOADS {
@@ -465,7 +487,7 @@ mod tests {
     #[test]
     fn fleet_exhibit_renders_the_ladder() {
         let set = experiments::fleet_plan(5_000).run(&Session::with_parallelism(8));
-        let ex = fleet_from(&experiments::fleet_data(&set));
+        let ex = fleet_from(&set);
         assert_eq!(ex.id, "fleet");
         assert!(ex.text.contains("Fleet dispatch"));
         for fleet in experiments::FLEET_LADDER {

@@ -35,8 +35,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Cycle-level event tracing ([`TraceSpec::Off`] by default). Consulted
     /// by the trace-collecting entry points
-    /// ([`crate::os::Machine::run_with_trace`], the plan-level trace
-    /// hooks); the plain [`crate::os::Machine::run`] always executes the
+    /// ([`crate::os::Machine::run_with_trace`],
+    /// [`crate::plan::Plan::run_traced`], [`crate::plan::Plan::trace_cell`]);
+    /// the plain [`crate::os::Machine::run`] always executes the
     /// monomorphized zero-cost untraced path regardless.
     pub trace: TraceSpec,
     /// Core execution model: the event-driven fast core (default) or the

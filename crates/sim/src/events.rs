@@ -5,9 +5,10 @@
 //! straight to the earliest cycle at which anything can issue again. The
 //! two pieces here supply that "earliest next wakeup" query:
 //!
-//! * [`EventQueue`] — a plain binary min-heap keyed `(cycle, seq)`. The
-//!   `seq` tiebreaker is a monotone push counter, so events scheduled for
-//!   the same cycle pop in push order (stable FIFO). That determinism is
+//! * [`EventQueue`] — a min-heap keyed `(cycle, seq)` on
+//!   [`std::collections::BinaryHeap`]. The `seq` tiebreaker is a monotone
+//!   push counter, so keys are unique and events scheduled for the same
+//!   cycle pop in push order (stable FIFO). That determinism is
 //!   load-bearing: the differential oracle suite asserts bit-identical
 //!   runs, so "which wakeup wins a tie" must never depend on heap
 //!   internals or insertion history beyond program order. The OS layer
@@ -29,19 +30,36 @@
 //! happen on a cycle in which some context issues, and the fast core
 //! executes every such cycle exactly like the oracle.
 
-/// One scheduled event: the key pair plus a payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
+/// One scheduled event: the key pair plus a payload. Ordered by
+/// `(cycle, seq)` alone; `seq` is unique per queue, so the order is total
+/// without comparing payloads.
+#[derive(Debug, Clone)]
 struct Entry<T> {
     cycle: u64,
     seq: u64,
     payload: T,
 }
 
-impl<T> Entry<T> {
-    /// Min-heap ordering key: earliest cycle first, push order on ties.
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.cycle, self.seq)
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.cycle, self.seq) == (other.cycle, other.seq)
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.cycle, self.seq).cmp(&(other.cycle, other.seq))
     }
 }
 
@@ -74,37 +92,33 @@ pub struct WakeupStats {
 /// A deterministic min-heap of timed events.
 ///
 /// Pops come out ordered by `cycle`; events scheduled for the same cycle
-/// pop in the order they were pushed (`seq` is a monotone counter). Unlike
-/// [`std::collections::BinaryHeap`] the behaviour on ties is fully
-/// specified — the property suite in `crates/sim/tests/prop_events.rs`
-/// pins both invariants down.
-#[derive(Debug, Clone, Default)]
+/// pop in the order they were pushed (`seq` is a monotone counter, so no
+/// two entries compare equal). The property suite in
+/// `crates/sim/tests/prop_events.rs` pins both invariants down.
+#[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    heap: Vec<Entry<T>>,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
     next_seq: u64,
     stats: QueueStats,
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
             stats: QueueStats::default(),
         }
     }
 
-    /// An empty queue with room for `n` events before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        EventQueue {
-            heap: Vec::with_capacity(n),
-            next_seq: 0,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Lifetime traffic/depth counters (survive [`Self::clear`]).
+    /// Lifetime traffic/depth counters.
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
@@ -119,87 +133,36 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Drop every scheduled event (the sequence counter keeps running, so
-    /// FIFO ordering holds across clears too).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
     /// Schedule `payload` at `cycle`. Returns the event's sequence number
     /// (monotone per queue — later pushes always get larger numbers).
     pub fn schedule(&mut self, cycle: u64, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        self.heap.push(Reverse(Entry {
             cycle,
             seq,
             payload,
-        });
+        }));
         self.stats.pushes += 1;
         self.stats.depth_max = self.stats.depth_max.max(self.heap.len() as u64);
-        self.sift_up(self.heap.len() - 1);
         seq
     }
 
     /// The earliest event without removing it: `(cycle, &payload)`.
     pub fn peek(&self) -> Option<(u64, &T)> {
-        self.heap.first().map(|e| (e.cycle, &e.payload))
+        self.heap.peek().map(|Reverse(e)| (e.cycle, &e.payload))
     }
 
     /// The earliest scheduled cycle, if any.
     pub fn peek_cycle(&self) -> Option<u64> {
-        self.heap.first().map(|e| e.cycle)
+        self.heap.peek().map(|Reverse(e)| e.cycle)
     }
 
     /// Remove and return the earliest event as `(cycle, payload)`.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let e = self.heap.pop().expect("non-empty");
+        let Reverse(e) = self.heap.pop()?;
         self.stats.pops += 1;
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
         Some((e.cycle, e.payload))
-    }
-
-    #[inline]
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let l = 2 * i + 1;
-            if l >= n {
-                break;
-            }
-            let r = l + 1;
-            let smallest = if r < n && self.heap[r].key() < self.heap[l].key() {
-                r
-            } else {
-                l
-            };
-            if self.heap[smallest].key() < self.heap[i].key() {
-                self.heap.swap(i, smallest);
-                i = smallest;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -409,8 +372,6 @@ mod tests {
         q.schedule(9, 'd'); // depth back to 2 — high-water stays 3
         let s = q.stats();
         assert_eq!((s.pushes, s.pops, s.depth_max), (4, 2, 3));
-        q.clear();
-        assert_eq!(q.stats().depth_max, 3, "lifetime stats survive clear");
     }
 
     #[test]

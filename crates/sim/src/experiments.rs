@@ -1,23 +1,24 @@
 //! Figure/table-level experiment drivers.
 //!
-//! Every exhibit is expressed the same way now: a `*_plan` function builds
-//! the declarative [`Plan`] (which schemes × workloads × memory models at
-//! which scale), a `*_data`/`*_rows` function projects the executed
-//! [`ResultSet`] into the exhibit's shape by *keyed lookup* (no positional
-//! index arithmetic): `table1_rows(&table1_plan(scale).run(&session))`.
-//! `vliw-bench`'s `paper` binary formats the shapes and can serialize the
-//! raw result sets via [`ResultSet::to_json`]/[`ResultSet::to_csv`].
+//! Every simulated exhibit starts from a `*_plan` function that builds the
+//! declarative [`Plan`] (which schemes × workloads × axes at which scale).
+//! The paper's own exhibits add a `*_data`/`*_rows` projection of the
+//! executed [`ResultSet`] by *keyed lookup* (no positional index
+//! arithmetic): `table1_rows(&table1_plan(scale).run(&session))`; the
+//! fidelity tests read those shapes. The beyond-paper exhibits (geometry,
+//! traffic, fleet) need no projection: `vliw-bench`'s renderers read their
+//! result sets directly. The trace exhibit maps every traced cell into a
+//! [`TraceRow`] on the worker that ran it ([`Plan::run_traced`]).
 //!
 //! All drivers take a `scale` divisor (1 = the paper's full
 //! 100M-instruction runs).
 
-use crate::plan::{
-    CellQuery, FleetSpec, MachineSpec, MemoryModel, Plan, ResultSet, Session, TrafficSpec,
-    WorkloadRef,
-};
+use crate::plan::{JobKey, MachineSpec, MemoryModel, Plan, ResultSet, WorkloadRef};
+use crate::runner::RunResult;
 use crate::sched::SchedulerSpec;
 use std::sync::Arc;
 use vliw_core::catalog;
+use vliw_trace::Trace;
 use vliw_workloads::{all_benchmarks, mixes::mix, table2_mixes};
 
 /// One row of Table 1.
@@ -220,52 +221,9 @@ pub fn fig10_data(set: &ResultSet) -> Fig10Data {
     }
 }
 
-/// Scheme used by the scheduler-ablation sweep: 2-thread SMT (`1S`), so
-/// the nine 4-thread mixes oversubscribe the contexts and the OS policy
-/// actually decides who runs.
-pub const SCHED_ABLATION_SCHEME: &str = "1S";
-
-/// The scheduler-ablation sweep (beyond the paper): every built-in OS
-/// policy over every Table-2 mix on the oversubscribed
-/// [`SCHED_ABLATION_SCHEME`] machine. Read back per-policy with a
-/// [`CellQuery`] naming the scheduler, or [`ResultSet::means_by`].
-pub fn sched_ablation_plan(scale: u64) -> Plan {
-    Plan::new()
-        .scheme(SCHED_ABLATION_SCHEME)
-        .workloads(table2_mixes())
-        .schedulers(SchedulerSpec::all())
-        .scale(scale)
-}
-
-/// Project an executed [`sched_ablation_plan`] sweep into per-policy mean
-/// IPC, plan order.
-pub fn sched_ablation_means(set: &ResultSet) -> Vec<(SchedulerSpec, f64)> {
-    set.means_by(&CellQuery::default().scheme(SCHED_ABLATION_SCHEME))
-}
-
 /// Schemes of the geometry sweep: the paper's reference points (1-thread,
 /// 4-thread CSMT, 4-thread SMT) plus the headline hybrid.
 pub const GEOMETRY_SCHEMES: [&str; 4] = ["ST", "3CCC", "2SC3", "3SSS"];
-
-/// One row of the geometry exhibit: a (machine, scheme) pair with its
-/// mean IPC and merge-control hardware cost on that machine's actual
-/// geometry.
-#[derive(Debug, Clone)]
-pub struct GeometryRow {
-    /// The machine geometry simulated (and priced).
-    pub machine: MachineSpec,
-    /// Scheme name.
-    pub scheme: String,
-    /// Mean IPC across the sweep's mixes, real memory.
-    pub mean_ipc: f64,
-    /// Merge-control transistors for this scheme on this geometry.
-    pub transistors: u64,
-    /// Merge-path gate delays for this scheme on this geometry.
-    pub gate_delays: u32,
-    /// Mean IPC per kilotransistor of merge-control logic (`None` for
-    /// schemes with no merge hardware, i.e. `ST`).
-    pub ipc_per_ktrans: Option<f64>,
-}
 
 /// The geometry sweep (beyond the paper): [`GEOMETRY_SCHEMES`] over every
 /// Table-2 mix across all [`MachineSpec::presets`] — Alipour &
@@ -277,31 +235,6 @@ pub fn geometry_plan(scale: u64) -> Plan {
         .workloads(table2_mixes())
         .machines(MachineSpec::presets())
         .scale(scale)
-}
-
-/// Project an executed [`geometry_plan`] sweep into exhibit rows, machine
-/// outermost (preset order), schemes in [`GEOMETRY_SCHEMES`] order.
-pub fn geometry_data(set: &ResultSet) -> Vec<GeometryRow> {
-    let mut rows = Vec::new();
-    for &machine in set.machines() {
-        for scheme in set.schemes() {
-            let cost = set
-                .merge_cost(scheme.name(), machine)
-                .expect("geometry grid prices every scheme x machine");
-            let q = CellQuery::default().scheme(scheme.name()).machine(machine);
-            rows.push(GeometryRow {
-                machine,
-                scheme: scheme.name().to_string(),
-                mean_ipc: set
-                    .mean(&q.memory(MemoryModel::Real))
-                    .expect("geometry grid covers every scheme x machine"),
-                transistors: cost.transistors,
-                gate_delays: cost.gate_delays,
-                ipc_per_ktrans: set.ipc_per_area(scheme.name(), machine, MemoryModel::Real),
-            });
-        }
-    }
-    rows
 }
 
 /// One row of the trace exhibit: the cycle-level decomposition of one
@@ -329,37 +262,12 @@ pub struct TraceRow {
     pub events: usize,
 }
 
-/// Trace-exhibit data: one row per grid cell, grid order.
-#[derive(Debug, Clone)]
-pub struct TraceData {
-    /// Run-length floor actually used (see [`trace_plan`]).
-    pub scale: u64,
-    /// Per-cell rows.
-    pub rows: Vec<TraceRow>,
-}
-
-/// Run-length floor for the trace exhibit: full event streams grow
-/// linearly with run length, so the exhibit never runs longer than
-/// 1/5000 of the paper's budget (20k retired instructions per thread).
-pub const TRACE_SCALE_FLOOR: u64 = 5_000;
-
-/// The trace-exhibit sweep: 4-thread SMT vs 4-thread CSMT on the LLHH
-/// mix — the cell pair behind the paper's peak Figure-6 advantage —
-/// fully traced. `scale` is floored at [`TRACE_SCALE_FLOOR`].
-pub fn trace_plan(scale: u64) -> Plan {
-    Plan::new()
-        .schemes(["3SSS", "3CCC"])
-        .workload("LLHH")
-        .scale(scale.max(TRACE_SCALE_FLOOR))
-}
-
-/// Execute a trace plan and project every cell's event stream into
-/// [`TraceRow`]s (stall decomposition, migrations, merge/split dynamics,
-/// occupancy). Works on any plan — the `paper` binary passes
-/// [`trace_plan`] with the CLI's scheduler/machine axes applied.
-pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
-    let mut rows = Vec::new();
-    let set = plan.run_traced(session, |key, result, trace| {
+impl TraceRow {
+    /// Project one traced cell into its row (stall decomposition,
+    /// migrations, merge/split dynamics, occupancy): the `map` of
+    /// [`Plan::run_traced`] over a [`trace_plan`], or any plan — the
+    /// `paper` binary applies the CLI's scheduler/machine axes first.
+    pub fn of(key: &JobKey, result: &RunResult, trace: &Trace) -> Self {
         let mut label = key.scheme.name().to_string();
         if key.scheduler != SchedulerSpec::PaperRandom {
             label.push_str(&format!(" {}", key.scheduler.name()));
@@ -375,7 +283,7 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
             .map(|s| s.len())
             .sum();
         let ctx_cycles = result.stats.cycles * u64::from(trace.n_contexts);
-        rows.push(TraceRow {
+        TraceRow {
             label,
             workload: key.workload.name().to_string(),
             cycles: result.stats.cycles,
@@ -393,13 +301,23 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
                 occupied as f64 / ctx_cycles as f64
             },
             events: trace.len(),
-        });
-    });
-    let data = TraceData {
-        scale: set.scale(),
-        rows,
-    };
-    (set, data)
+        }
+    }
+}
+
+/// Run-length floor for the trace exhibit: full event streams grow
+/// linearly with run length, so the exhibit never runs longer than
+/// 1/5000 of the paper's budget (20k retired instructions per thread).
+pub const TRACE_SCALE_FLOOR: u64 = 5_000;
+
+/// The trace-exhibit sweep: 4-thread SMT vs 4-thread CSMT on the LLHH
+/// mix — the cell pair behind the paper's peak Figure-6 advantage —
+/// fully traced. `scale` is floored at [`TRACE_SCALE_FLOOR`].
+pub fn trace_plan(scale: u64) -> Plan {
+    Plan::new()
+        .schemes(["3SSS", "3CCC"])
+        .workload("LLHH")
+        .scale(scale.max(TRACE_SCALE_FLOOR))
 }
 
 /// Schemes of the traffic exhibit: the paper's reference points (1-thread,
@@ -408,10 +326,11 @@ pub fn trace_data(plan: &Plan, session: &Session) -> (ResultSet, TraceData) {
 /// throughput.
 pub const TRAFFIC_SCHEMES: [&str; 4] = GEOMETRY_SCHEMES;
 
-/// Offered-load ladder of the traffic exhibit (canonical [`TrafficSpec`]
-/// spellings): light, moderate and saturating Poisson arrivals. The heavy
-/// point oversubscribes every scheme's admission limit, so the shed column
-/// becomes part of the comparison.
+/// Offered-load ladder of the traffic exhibit (canonical
+/// [`TrafficSpec`](crate::plan::TrafficSpec) spellings): light, moderate
+/// and saturating Poisson arrivals. The heavy point oversubscribes every
+/// scheme's admission limit, so the shed column becomes part of the
+/// comparison.
 pub const TRAFFIC_LOADS: [&str; 3] = ["poisson:0.00002", "poisson:0.0001", "poisson:0.0005"];
 
 /// Run-length floor for the traffic exhibit: open-system runs last until
@@ -439,44 +358,6 @@ pub fn traffic_workload() -> WorkloadRef {
     WorkloadRef::custom("LLHH-x3", specs)
 }
 
-/// One row of the traffic exhibit: a (scheme, offered load) pair with its
-/// admission outcome and sojourn-latency tail.
-#[derive(Debug, Clone)]
-pub struct TrafficRow {
-    /// Scheme name.
-    pub scheme: String,
-    /// Arrival process of the cell.
-    pub traffic: TrafficSpec,
-    /// Long-run offered load, arrivals per cycle.
-    pub rate: f64,
-    /// Jobs that arrived.
-    pub offered: u64,
-    /// Jobs admitted and run to completion.
-    pub completed: u64,
-    /// Jobs dropped at the full admission queue.
-    pub shed: u64,
-    /// Median sojourn (arrival → completion), cycles.
-    pub p50: u64,
-    /// 95th-percentile sojourn, cycles.
-    pub p95: u64,
-    /// 99th-percentile sojourn, cycles.
-    pub p99: u64,
-    /// Mean admission-queue depth over the run.
-    pub mean_queue_depth: f64,
-    /// Cell IPC (throughput under this load).
-    pub ipc: f64,
-}
-
-/// Traffic-exhibit data: one row per (scheme, load), schemes outermost in
-/// [`TRAFFIC_SCHEMES`] order, loads in plan order.
-#[derive(Debug, Clone)]
-pub struct TrafficData {
-    /// Run-length floor actually used (see [`traffic_plan`]).
-    pub scale: u64,
-    /// Per-cell rows.
-    pub rows: Vec<TrafficRow>,
-}
-
 /// The traffic sweep (beyond the paper): [`TRAFFIC_SCHEMES`] under the
 /// [`TRAFFIC_LOADS`] Poisson ladder on the 12-job [`traffic_workload`] —
 /// latency-vs-offered-load curves, the open-system comparison the
@@ -494,46 +375,12 @@ pub fn traffic_plan(scale: u64) -> Plan {
         .scale(scale.max(TRAFFIC_SCALE_FLOOR))
 }
 
-/// Project an executed [`traffic_plan`] sweep into exhibit rows by keyed
-/// lookup. Works on any plan whose traffic axis is explicit — the `paper`
-/// binary passes [`traffic_plan`] with the CLI's axes applied.
-pub fn traffic_data(set: &ResultSet) -> TrafficData {
-    let mut rows = Vec::new();
-    for scheme in set.schemes() {
-        for &traffic in set.traffics() {
-            let q = CellQuery::default()
-                .scheme(scheme.name())
-                .workload("LLHH-x3");
-            let r = set
-                .cell(&q.traffic(traffic).memory(MemoryModel::Real))
-                .expect("traffic grid covers every scheme x load");
-            let t = &r.stats.traffic;
-            rows.push(TrafficRow {
-                scheme: scheme.name().to_string(),
-                traffic,
-                rate: traffic.offered_rate(),
-                offered: t.offered,
-                completed: t.completed,
-                shed: t.shed,
-                p50: t.p50_sojourn,
-                p95: t.p95_sojourn,
-                p99: t.p99_sojourn,
-                mean_queue_depth: t.mean_queue_depth,
-                ipc: r.ipc(),
-            });
-        }
-    }
-    TrafficData {
-        scale: set.scale(),
-        rows,
-    }
-}
-
 /// Scheme of the fleet exhibit: the headline hybrid, judged at fleet scale.
 pub const FLEET_SCHEME: &str = "2SC3";
 
-/// Fleet ladder of the fleet exhibit (canonical [`FleetSpec`] spellings):
-/// a homogeneous scaling arc (one, two, four paper machines) followed by
+/// Fleet ladder of the fleet exhibit (canonical
+/// [`FleetSpec`](crate::plan::FleetSpec) spellings): a homogeneous
+/// scaling arc (one, two, four paper machines) followed by
 /// the heterogeneous `edge` mix under each dispatcher policy, so one table
 /// shows both how tail latency falls with machine count and which policy
 /// wins when the lanes differ.
@@ -554,43 +401,6 @@ pub const FLEET_ARRIVALS: &str = "poisson:0.0005";
 /// Run-length floor for the fleet exhibit (same open-system reasoning as
 /// [`TRAFFIC_SCALE_FLOOR`]).
 pub const FLEET_SCALE_FLOOR: u64 = TRAFFIC_SCALE_FLOOR;
-
-/// One row of the fleet exhibit: a fleet spelling with its routing split,
-/// admission outcome and sojourn-latency tail.
-#[derive(Debug, Clone)]
-pub struct FleetRow {
-    /// Canonical fleet spelling.
-    pub fleet: FleetSpec,
-    /// Machines in the fleet.
-    pub machines: usize,
-    /// Dispatcher policy name.
-    pub dispatcher: String,
-    /// Jobs that arrived fleet-wide.
-    pub offered: u64,
-    /// Jobs admitted and run to completion, summed over lanes.
-    pub completed: u64,
-    /// Jobs dropped at full per-lane admission queues.
-    pub shed: u64,
-    /// Per-machine routed counts, in fleet order.
-    pub routed: Vec<u64>,
-    /// Median fleet-wide sojourn (arrival → completion), cycles.
-    pub p50: u64,
-    /// 95th-percentile fleet-wide sojourn, cycles.
-    pub p95: u64,
-    /// 99th-percentile fleet-wide sojourn, cycles.
-    pub p99: u64,
-    /// Fleet IPC (summed ops over the longest lane's span).
-    pub ipc: f64,
-}
-
-/// Fleet-exhibit data: one row per fleet, in [`FLEET_LADDER`] order.
-#[derive(Debug, Clone)]
-pub struct FleetData {
-    /// Run-length floor actually used (see [`fleet_plan`]).
-    pub scale: u64,
-    /// Per-fleet rows.
-    pub rows: Vec<FleetRow>,
-}
 
 /// The fleet sweep (beyond the paper): the [`FLEET_LADDER`] under one
 /// saturating arrival process on the 12-job [`traffic_workload`], at the
@@ -614,49 +424,10 @@ pub fn fleet_plan(scale: u64) -> Plan {
         .scale(scale.max(FLEET_SCALE_FLOOR))
 }
 
-/// Project an executed [`fleet_plan`] sweep into exhibit rows by keyed
-/// lookup. Works on any plan whose fleet axis is explicit — the `paper`
-/// binary passes [`fleet_plan`] with the CLI's axes applied.
-pub fn fleet_data(set: &ResultSet) -> FleetData {
-    let mut rows = Vec::new();
-    for scheme in set.schemes() {
-        for fleet in set.fleets() {
-            let q = CellQuery::default()
-                .scheme(scheme.name())
-                .workload("LLHH-x3");
-            let r = set
-                .cell(&q.fleet(fleet).memory(MemoryModel::Real))
-                .expect("fleet grid covers every scheme x fleet");
-            let t = &r.stats.traffic;
-            let fs = r
-                .stats
-                .fleet
-                .as_ref()
-                .expect("fleet cells always carry FleetStats");
-            rows.push(FleetRow {
-                fleet: fleet.clone(),
-                machines: fleet.n_machines(),
-                dispatcher: fleet.dispatcher.name().to_string(),
-                offered: t.offered,
-                completed: t.completed,
-                shed: t.shed,
-                routed: fs.machines.iter().map(|m| m.routed).collect(),
-                p50: t.p50_sojourn,
-                p95: t.p95_sojourn,
-                p99: t.p99_sojourn,
-                ipc: r.ipc(),
-            });
-        }
-    }
-    FleetData {
-        scale: set.scale(),
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{CellQuery, FleetSpec, Session};
 
     // Tiny-scale smoke tests: the full-size validations live in the
     // integration suite and the paper harness.
@@ -690,24 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn sched_ablation_covers_every_policy() {
-        let set = sched_ablation_plan(100_000).run(&Session::with_parallelism(4));
-        let means = sched_ablation_means(&set);
-        assert_eq!(means.len(), SchedulerSpec::all().len());
-        for (spec, ipc) in &means {
-            assert!(*ipc > 0.0, "{spec}: mean IPC must be positive");
-        }
-    }
-
-    #[test]
     fn trace_exhibit_decomposes_both_schemes() {
-        let traced = |scale| trace_data(&trace_plan(scale), &Session::with_parallelism(2)).1;
-        let d = traced(50_000);
-        assert_eq!(d.scale, 50_000, "above the floor, scale passes through");
-        assert_eq!(d.rows.len(), 2);
-        assert_eq!(d.rows[0].label, "3SSS");
-        assert_eq!(d.rows[1].label, "3CCC");
-        for r in &d.rows {
+        let traced =
+            |scale| trace_plan(scale).run_traced(&Session::with_parallelism(2), TraceRow::of);
+        let (set, rows) = traced(50_000);
+        assert_eq!(set.scale(), 50_000, "above the floor, scale passes through");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].label, "3SSS");
+        assert_eq!(rows[1].label, "3CCC");
+        for r in &rows {
             assert_eq!(r.workload, "LLHH");
             assert!(r.ipc > 0.0);
             assert!(r.stalls.total() > 0, "{}: no stalls traced", r.label);
@@ -718,102 +480,113 @@ mod tests {
         }
         // The floor engages below it.
         assert_eq!(trace_plan(1).jobs().len(), 2);
-        assert_eq!(traced(u64::MAX).scale, u64::MAX);
+        assert_eq!(traced(u64::MAX).0.scale(), u64::MAX);
     }
 
     #[test]
     fn geometry_sweep_covers_every_machine_and_prices_merge_logic() {
         let set = geometry_plan(200_000).run(&Session::with_parallelism(4));
-        let rows = geometry_data(&set);
-        assert_eq!(
-            rows.len(),
-            MachineSpec::presets().len() * GEOMETRY_SCHEMES.len()
-        );
-        for r in &rows {
-            assert!(r.mean_ipc > 0.0, "{}/{}", r.machine, r.scheme);
-            if r.scheme == "ST" {
-                assert_eq!(r.transistors, 0, "ST has no merge hardware");
-                assert!(r.ipc_per_ktrans.is_none());
-            } else {
-                assert!(r.transistors > 0, "{}/{}", r.machine, r.scheme);
-                assert!(r.ipc_per_ktrans.unwrap() > 0.0);
+        assert_eq!(set.machines(), MachineSpec::presets());
+        assert_eq!(set.schemes().len(), GEOMETRY_SCHEMES.len());
+        for &m in set.machines() {
+            for s in GEOMETRY_SCHEMES {
+                let q = CellQuery::default().scheme(s).machine(m);
+                assert!(set.mean(&q).unwrap() > 0.0, "{m}/{s}");
+                let cost = set.merge_cost(s, m).unwrap();
+                let per_area = set.ipc_per_area(s, m, MemoryModel::Real);
+                if s == "ST" {
+                    assert_eq!(cost.transistors, 0, "ST has no merge hardware");
+                    assert!(per_area.is_none());
+                } else {
+                    assert!(cost.transistors > 0, "{m}/{s}");
+                    assert!(per_area.unwrap() > 0.0);
+                }
             }
         }
         // Cost follows geometry: 2 fat clusters price differently than the
         // paper's 4x4 for the same scheme.
-        let t = |m: MachineSpec, s: &str| {
-            rows.iter()
-                .find(|r| r.machine == m && r.scheme == s)
-                .unwrap()
-                .transistors
-        };
-        assert_ne!(
-            t(MachineSpec::Paper4x4, "3SSS"),
-            t(MachineSpec::Wide2x8, "3SSS")
-        );
+        let t = |m: MachineSpec| set.merge_cost("3SSS", m).unwrap().transistors;
+        assert_ne!(t(MachineSpec::Paper4x4), t(MachineSpec::Wide2x8));
     }
 
     #[test]
     fn traffic_exhibit_sweeps_the_load_ladder() {
-        let run = |scale| traffic_data(&traffic_plan(scale).run(&Session::with_parallelism(4)));
-        let d = run(100_000);
-        assert_eq!(d.scale, 100_000, "above the floor, scale passes through");
-        assert_eq!(d.rows.len(), TRAFFIC_SCHEMES.len() * TRAFFIC_LOADS.len());
-        for r in &d.rows {
-            assert_eq!(r.offered, 12, "{}/{}: 12-job stream", r.scheme, r.traffic);
-            assert_eq!(r.completed + r.shed, r.offered, "{}", r.scheme);
-            assert!(r.p50 <= r.p95 && r.p95 <= r.p99, "{}", r.scheme);
-            assert!(r.rate > 0.0);
-            if r.completed > 0 {
-                assert!(r.ipc > 0.0, "{}/{}", r.scheme, r.traffic);
+        let run = |scale| traffic_plan(scale).run(&Session::with_parallelism(4));
+        let set = run(100_000);
+        assert_eq!(
+            set.scale(),
+            100_000,
+            "above the floor, scale passes through"
+        );
+        assert_eq!(set.len(), TRAFFIC_SCHEMES.len() * TRAFFIC_LOADS.len());
+        for (key, r) in set.iter() {
+            let t = &r.stats.traffic;
+            let label = format!("{}/{}", key.scheme.name(), key.traffic);
+            assert_eq!(t.offered, 12, "{label}: 12-job stream");
+            assert_eq!(t.completed + t.shed, t.offered, "{label}");
+            assert!(t.p50_sojourn <= t.p95_sojourn && t.p95_sojourn <= t.p99_sojourn);
+            assert!(key.traffic.offered_rate() > 0.0);
+            if t.completed > 0 {
+                assert!(r.ipc() > 0.0, "{label}");
             }
         }
         // Tail latency responds to offered load: for every scheme the
         // saturating point is no faster than the light one.
         for scheme in TRAFFIC_SCHEMES {
-            let of = |spec: &str| {
-                d.rows
-                    .iter()
-                    .find(|r| r.scheme == scheme && r.traffic.to_string() == spec)
-                    .unwrap()
+            let p95 = |spec: &str| {
+                let q = CellQuery::default().scheme(scheme);
+                let r = set.cell(&q.traffic(spec.parse().unwrap())).unwrap();
+                r.stats.traffic.p95_sojourn
             };
-            let light = of(TRAFFIC_LOADS[0]);
-            let heavy = of(TRAFFIC_LOADS[2]);
+            let (light, heavy) = (p95(TRAFFIC_LOADS[0]), p95(TRAFFIC_LOADS[2]));
             assert!(
-                heavy.p95 >= light.p95,
-                "{scheme}: heavy p95 {} vs light {}",
-                heavy.p95,
-                light.p95
+                heavy >= light,
+                "{scheme}: heavy p95 {heavy} vs light {light}"
             );
         }
         // The floor engages below it.
         assert_eq!(traffic_plan(1).jobs().len(), 12);
-        assert_eq!(run(u64::MAX).scale, u64::MAX);
+        assert_eq!(run(u64::MAX).scale(), u64::MAX);
     }
 
     #[test]
     fn fleet_exhibit_climbs_the_ladder() {
-        let d = fleet_data(&fleet_plan(5_000).run(&Session::with_parallelism(4)));
-        assert_eq!(d.scale, FLEET_SCALE_FLOOR);
-        assert_eq!(d.rows.len(), FLEET_LADDER.len());
-        for (r, spec) in d.rows.iter().zip(FLEET_LADDER) {
-            assert_eq!(r.fleet.label(), spec, "ladder spellings are canonical");
-            assert_eq!(r.offered, 12, "{spec}: 12-job stream");
-            assert_eq!(r.completed + r.shed, r.offered, "{spec}: conservation");
-            assert_eq!(r.routed.len(), r.machines, "{spec}");
-            assert_eq!(r.routed.iter().sum::<u64>(), r.offered, "{spec}");
-            assert!(r.p50 <= r.p95 && r.p95 <= r.p99, "{spec}");
-            assert!(r.ipc > 0.0, "{spec}");
+        let set = fleet_plan(5_000).run(&Session::with_parallelism(4));
+        assert_eq!(set.scale(), FLEET_SCALE_FLOOR);
+        let fleets: Vec<&FleetSpec> = set.fleets().collect();
+        assert_eq!(fleets.len(), FLEET_LADDER.len());
+        let cell = |f| set.cell(&CellQuery::default().fleet(f)).unwrap();
+        for (&fleet, spec) in fleets.iter().zip(FLEET_LADDER) {
+            assert_eq!(fleet.label(), spec, "ladder spellings are canonical");
+            let r = cell(fleet);
+            let t = &r.stats.traffic;
+            let routed: Vec<u64> = r
+                .stats
+                .fleet
+                .as_ref()
+                .unwrap()
+                .machines
+                .iter()
+                .map(|m| m.routed)
+                .collect();
+            assert_eq!(t.offered, 12, "{spec}: 12-job stream");
+            assert_eq!(t.completed + t.shed, t.offered, "{spec}: conservation");
+            assert_eq!(routed.len(), fleet.n_machines(), "{spec}");
+            assert_eq!(routed.iter().sum::<u64>(), t.offered, "{spec}");
+            assert!(t.p50_sojourn <= t.p95_sojourn && t.p95_sojourn <= t.p99_sojourn);
+            assert!(r.ipc() > 0.0, "{spec}");
         }
         // More machines can only help the tail at fixed offered load.
-        let one = &d.rows[0];
-        let four = &d.rows[2];
-        assert_eq!(four.machines, 4);
+        let (one, four) = (
+            &cell(fleets[0]).stats.traffic,
+            &cell(fleets[2]).stats.traffic,
+        );
+        assert_eq!(fleets[2].n_machines(), 4);
         assert!(
-            four.p95 <= one.p95,
+            four.p95_sojourn <= one.p95_sojourn,
             "4 machines p95 {} vs 1 machine {}",
-            four.p95,
-            one.p95
+            four.p95_sojourn,
+            one.p95_sojourn
         );
         assert!(four.shed <= one.shed);
     }

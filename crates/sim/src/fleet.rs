@@ -66,10 +66,10 @@ pub fn run_fleet(
     workload: &WorkloadRef,
     parallelism: usize,
 ) -> RunStats {
-    run_fleet_inner(cache, cfg, fleet, workload, parallelism, false).0
+    run_fleet_traced(cache, cfg, fleet, workload, parallelism).0
 }
 
-/// Like [`run_fleet`], additionally collecting the fleet-level [`Trace`]:
+/// Like [`run_fleet`], additionally returning the fleet-level [`Trace`]:
 /// one [`TraceEvent::RoutedTo`] per arrival, in arrival order. Per-lane
 /// cycle-level events are not recorded (each lane runs its monomorphized
 /// untraced path); trace a single-machine run for those.
@@ -80,31 +80,6 @@ pub fn run_fleet_traced(
     workload: &WorkloadRef,
     parallelism: usize,
 ) -> (RunStats, Trace) {
-    let (stats, events) = run_fleet_inner(cache, cfg, fleet, workload, parallelism, true);
-    let threads = workload
-        .member_names()
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (i as u32, n.to_string()))
-        .collect();
-    let trace = Trace {
-        events,
-        n_contexts: cfg.n_contexts() as u8,
-        threads,
-        end_cycle: stats.cycles,
-        dropped: 0,
-    };
-    (stats, trace)
-}
-
-fn run_fleet_inner(
-    cache: &ImageCache,
-    cfg: &SimConfig,
-    fleet: &FleetSpec,
-    workload: &WorkloadRef,
-    parallelism: usize,
-    record: bool,
-) -> (RunStats, Vec<TraceEvent>) {
     let machines = fleet.machines();
     let lane_cfgs: Vec<SimConfig> = machines
         .iter()
@@ -151,13 +126,11 @@ fn run_fleet_inner(
                 .collect();
             let to = dispatcher.route(&views, hints[i]);
             routed[to] += 1;
-            if record {
-                events.push(TraceEvent::RoutedTo {
-                    cycle: at,
-                    tid: i as u32,
-                    to: to as u32,
-                });
-            }
+            events.push(TraceEvent::RoutedTo {
+                cycle: at,
+                tid: i as u32,
+                to: to as u32,
+            });
             let image = workload.image_for(i, cache, &lane_cfgs[to].machine, &NullTelemetry);
             let t = SoftThread::new(&image.0, image.1.clone(), i as u64, cfg.seed);
             lanes[to].lock().expect("lane mutex").lane_inject(t);
@@ -170,7 +143,21 @@ fn run_fleet_inner(
         .into_iter()
         .map(|l| l.into_inner().expect("lane mutex").lane_collect())
         .collect();
-    (merge(&machines, &routed, outcomes), events)
+    let stats = merge(&machines, &routed, outcomes);
+    let threads = workload
+        .member_names()
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (i as u32, n.to_string()))
+        .collect();
+    let trace = Trace {
+        events,
+        n_contexts: cfg.n_contexts() as u8,
+        threads,
+        end_cycle: stats.cycles,
+        dropped: 0,
+    };
+    (stats, trace)
 }
 
 /// Merge per-lane outcomes into one fleet-level [`RunStats`].

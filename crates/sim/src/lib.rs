@@ -41,17 +41,19 @@
 //! API (single runs, parallel fan-out, the `(benchmark, machine)`-keyed
 //! image cache), [`plan`] for the declarative sweep surface ([`Plan`] →
 //! [`ResultSet`] with scheme/workload/scheduler/machine/memory axes,
-//! keyed lookup, per-geometry hwcost pricing and JSON/CSV exhibits), and
-//! [`experiments`] for the paper's figure-level drivers built on it.
+//! keyed lookup, per-geometry hwcost pricing and JSON/CSV exhibits; one
+//! executor behind every run entry point), and [`experiments`] for the
+//! paper's figure-level drivers built on it.
 //! Fallible entry points return typed [`SimError`]s.
 //!
 //! **Tracing** — the whole hot loop (core, threads, memory, OS layer) is
 //! generic over a [`trace::TraceSink`]; the untraced entry points
 //! monomorphize the [`trace::NullSink`] path, which compiles to the
 //! pre-tracing code (zero cost when off). Collect a [`trace::Trace`] with
-//! [`os::Machine::run_with_trace`] or the plan-level hooks
-//! ([`Plan::run_traced`](plan::Plan::run_traced) /
-//! [`Plan::trace_cell`](plan::Plan::trace_cell)), configure it with
+//! [`os::Machine::run_with_trace`] or the plan level
+//! ([`Plan::run_traced`](plan::Plan::run_traced) maps every traced cell on
+//! the worker that ran it; [`Plan::trace_cell`](plan::Plan::trace_cell)
+//! probes one cell), configure it with
 //! [`SimConfig::with_trace`], and analyze/export it with the re-exported
 //! [`trace`] crate (stall breakdowns, occupancy timelines, Chrome-trace/
 //! JSONL/CSV serialization).

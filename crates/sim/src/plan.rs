@@ -21,11 +21,15 @@
 //! deterministic job list, [`Plan::run`] fans it out over rayon, and the
 //! returned [`ResultSet`] offers keyed lookup, aggregation helpers, and
 //! hand-rolled JSON/CSV serialization whose bytes are independent of the
-//! worker count.
+//! worker count. [`Plan::run`], [`Plan::run_metered`] and
+//! [`Plan::run_traced`] share one executor over [`runner::run_jobs`];
+//! `run_traced` maps each cell's trace to a value on the worker that ran
+//! the cell, so no trace outlives its cell.
 //!
 //! Keys are typed: [`SchemeRef`] and [`WorkloadRef`] carry owned
 //! (`Arc<str>`) names, so custom merge schemes and generated workloads
-//! participate exactly like the paper's catalog and Table-2 mixes.
+//! participate exactly like the paper's catalog and Table-2 mixes. Every
+//! workload member is a benchmark spec, Table-1 or custom alike.
 //!
 //! Beyond schemes and workloads, a plan can sweep five optional axes, each
 //! with a default it runs under when the plan names no value: the OS
@@ -57,7 +61,6 @@ use crate::runner::{self, ImageCache, RunResult};
 use crate::sched::SchedulerSpec;
 use crate::stats::ThreadStats;
 use crate::thread::SoftThread;
-use rayon::prelude::*;
 use std::fmt::{Display, Write as _};
 use std::sync::Arc;
 use vliw_core::{catalog, MergeScheme, PriorityPolicy};
@@ -157,40 +160,15 @@ impl From<&MergeScheme> for SchemeRef {
     }
 }
 
-/// One member thread of a workload: a Table-1 benchmark by name, or an
-/// owned custom spec.
-#[derive(Debug, Clone)]
-enum Member {
-    Named(Arc<str>),
-    Custom(Arc<BenchmarkSpec>),
-}
-
-impl Member {
-    fn name(&self) -> &str {
-        match self {
-            Member::Named(n) => n,
-            Member::Custom(s) => &s.name,
-        }
-    }
-
-    /// The member's name as the shared `Arc` the image cache keys on.
-    fn name_arc(&self) -> Arc<str> {
-        match self {
-            Member::Named(n) => n.clone(),
-            Member::Custom(s) => s.name.clone(),
-        }
-    }
-}
-
 /// Typed key naming one workload of a plan: a single benchmark or a
-/// multiprogrammed mix, of Table-1 members and/or custom specs.
+/// multiprogrammed mix, of Table-1 and/or custom benchmark specs.
 ///
 /// Names are owned (`Arc<str>`), so generated workloads with computed names
 /// are first-class. Equality and lookup go by name.
 #[derive(Debug, Clone)]
 pub struct WorkloadRef {
     name: Arc<str>,
-    members: Arc<[Member]>,
+    members: Arc<[Arc<BenchmarkSpec>]>,
 }
 
 impl WorkloadRef {
@@ -198,35 +176,24 @@ impl WorkloadRef {
     ///
     /// Panics on unknown benchmark names — plans fail at build time.
     pub fn benchmark(name: &str) -> Self {
-        assert!(
-            benchmark(name).is_some(),
-            "unknown benchmark {name:?} (not in Table 1)"
-        );
-        WorkloadRef {
-            name: name.into(),
-            members: Arc::from(vec![Member::Named(name.into())]),
-        }
+        let spec = benchmark(name)
+            .unwrap_or_else(|| panic!("unknown benchmark {name:?} (not in Table 1)"));
+        WorkloadRef::custom(name, vec![spec.clone()])
     }
 
     /// A multiprogrammed workload of Table-1 benchmarks under `name`.
     ///
     /// Panics when any member is not a Table-1 benchmark.
     pub fn members(name: &str, members: &[&str]) -> Self {
-        assert!(!members.is_empty(), "workload {name:?} needs members");
-        let members: Vec<Member> = members
+        let specs = members
             .iter()
             .map(|m| {
-                assert!(
-                    benchmark(m).is_some(),
-                    "workload {name:?}: unknown benchmark {m:?}"
-                );
-                Member::Named((*m).into())
+                benchmark(m)
+                    .unwrap_or_else(|| panic!("workload {name:?}: unknown benchmark {m:?}"))
+                    .clone()
             })
             .collect();
-        WorkloadRef {
-            name: name.into(),
-            members: members.into(),
-        }
+        WorkloadRef::custom(name, specs)
     }
 
     /// A workload of custom benchmark specs (threads in `specs` order).
@@ -236,24 +203,18 @@ impl WorkloadRef {
     /// any shared [`Session`]).
     pub fn custom(name: &str, specs: Vec<BenchmarkSpec>) -> Self {
         assert!(!specs.is_empty(), "workload {name:?} needs members");
-        let members: Vec<Member> = specs
-            .into_iter()
-            .map(|s| {
-                if let Some(table1) = benchmark(&s.name) {
-                    assert!(
-                        table1 == &s,
-                        "workload {name:?}: custom spec {:?} shadows a Table-1 benchmark \
-                         with different knobs; rename the variant (names are the \
-                         compilation-cache identity)",
-                        s.name
-                    );
-                }
-                Member::Custom(s.into())
-            })
-            .collect();
+        for s in &specs {
+            assert!(
+                benchmark(&s.name).is_none_or(|table1| table1 == s),
+                "workload {name:?}: custom spec {:?} shadows a Table-1 benchmark \
+                 with different knobs; rename the variant (names are the \
+                 compilation-cache identity)",
+                s.name
+            );
+        }
         WorkloadRef {
             name: name.into(),
-            members: members.into(),
+            members: specs.into_iter().map(Arc::new).collect(),
         }
     }
 
@@ -269,7 +230,7 @@ impl WorkloadRef {
 
     /// Member benchmark names, thread order.
     pub fn member_names(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.name()).collect()
+        self.members.iter().map(|s| &*s.name).collect()
     }
 
     /// Compile member `idx` for `machine` through the shared cache. The
@@ -283,11 +244,9 @@ impl WorkloadRef {
         machine: &vliw_isa::MachineConfig,
         t: &T,
     ) -> crate::runner::CachedImage {
-        match &self.members[idx] {
-            Member::Named(n) => cache.get_metered(n, machine, t),
-            Member::Custom(s) => cache.get_spec_metered(s, machine, t),
-        }
-        .expect("plan cells are validated up front")
+        cache
+            .get_spec_metered(&self.members[idx], machine, t)
+            .expect("plan cells are validated up front")
     }
 
     /// Instantiate the software threads (worker-side; compile results come
@@ -309,13 +268,9 @@ impl From<&WorkloadMix> for WorkloadRef {
 }
 
 impl From<&BenchmarkSpec> for WorkloadRef {
+    /// A single spec, run alone under its own name.
     fn from(spec: &BenchmarkSpec) -> Self {
-        match benchmark(&spec.name) {
-            Some(table1) if table1 == spec => WorkloadRef::benchmark(&spec.name),
-            // Anything else goes through `custom`, whose shadow check
-            // rejects modified specs still carrying a Table-1 name.
-            _ => WorkloadRef::custom(&spec.name, vec![spec.clone()]),
-        }
+        WorkloadRef::custom(&spec.name, vec![spec.clone()])
     }
 }
 
@@ -806,6 +761,48 @@ impl Plan {
     /// monomorphizes away — differentially benchmarked in
     /// `benches/telemetry.rs`).
     pub fn run_metered<T: Telemetry>(&self, session: &Session, t: &T) -> ResultSet {
+        self.execute(session, t, false, |_, _, _| ()).0
+    }
+
+    /// Run the whole grid with per-cell tracing, mapping each cell's key,
+    /// result and recorded [`Trace`] through `map`. Returns the same
+    /// [`ResultSet`] as [`Plan::run`] plus the mapped values in row-major
+    /// grid order, regardless of the session's worker count.
+    ///
+    /// `map` runs on the worker that ran the cell, and the trace is dropped
+    /// as soon as it returns, so at most one trace per worker is resident,
+    /// never the whole grid. Use [`TraceSpec::Ring`] via [`Plan::trace`] to
+    /// bound the per-cell footprint too.
+    ///
+    /// The per-cell sink follows [`Plan::trace`]; the default
+    /// [`TraceSpec::Off`] records fully here, since calling this method is
+    /// the explicit request to trace. Statistics are identical to
+    /// [`Plan::run`] — tracing observes, never perturbs.
+    pub fn run_traced<X, F>(&self, session: &Session, map: F) -> (ResultSet, Vec<X>)
+    where
+        X: Send,
+        F: Fn(&JobKey, &RunResult, &Trace) -> X + Sync,
+    {
+        self.execute(session, &NullTelemetry, true, map)
+    }
+
+    /// The one sweep body behind [`Plan::run`], [`Plan::run_metered`] and
+    /// [`Plan::run_traced`]: fan the grid out over the session's workers,
+    /// map each cell (and its trace, when `traced`) on the worker that ran
+    /// it, then attribute cache economics and harvest telemetry in grid
+    /// order.
+    fn execute<T, X, F>(
+        &self,
+        session: &Session,
+        t: &T,
+        traced: bool,
+        map: F,
+    ) -> (ResultSet, Vec<X>)
+    where
+        T: Telemetry,
+        X: Send,
+        F: Fn(&JobKey, &RunResult, &Trace) -> X + Sync,
+    {
         let (cache, parallelism) = (session.cache(), session.parallelism());
         self.validate();
         crate::metrics::register_schema(t);
@@ -821,13 +818,22 @@ impl Plan {
         let requests_before = cache.requests();
         let unique_before = cache.len() as u64;
         let refs: Vec<&JobKey> = jobs.iter().collect();
-        let mut results = runner::run_jobs_metered(
+        let cells = runner::run_jobs(
             refs,
-            |key| self.run_cell(cache, key, t, false).0,
+            |key| {
+                let start = t.now_ns();
+                let (result, trace) = self.run_cell(cache, key, t, traced);
+                let mapped = map(key, &result, &trace);
+                if T::ENABLED {
+                    let wall = t.now_ns().saturating_sub(start);
+                    t.observe(crate::metrics::names::CELL_WALL_NS, wall);
+                    t.cell_done(cache.requests(), cache.len() as u64);
+                }
+                (result, mapped)
+            },
             parallelism,
-            t,
-            cache,
         );
+        let (mut results, mapped): (Vec<RunResult>, Vec<X>) = cells.into_iter().unzip();
         self.attribute_cache(&jobs, &mut results);
         if T::ENABLED {
             use crate::metrics::names::{CACHE_HITS, CACHE_MISSES, CACHE_REQUESTS};
@@ -839,7 +845,7 @@ impl Plan {
             let refs: Vec<&RunResult> = results.iter().collect();
             crate::metrics::harvest(&refs, t);
         }
-        self.result_set(results, T::ENABLED)
+        (self.result_set(results, T::ENABLED), mapped)
     }
 
     /// Statically attribute image-cache economics to cells: walk the grid
@@ -856,88 +862,13 @@ impl Plan {
         for (key, r) in jobs.iter().zip(results.iter_mut()) {
             let machine = key.machine.config();
             for m in key.workload.members.iter() {
-                if seen.insert((m.name_arc(), machine.clone())) {
+                if seen.insert((m.name.clone(), machine.clone())) {
                     r.stats.cache_misses += 1;
                 } else {
                     r.stats.cache_hits += 1;
                 }
             }
         }
-    }
-
-    /// Run the whole grid with per-cell tracing, invoking `hook` once per
-    /// cell — in deterministic row-major grid order, regardless of the
-    /// session's worker count — with the cell's key, result and recorded
-    /// [`Trace`]. Returns the same [`ResultSet`] as [`Plan::run`].
-    ///
-    /// Traces are *streamed* to the hook, not stored: each cell's trace is
-    /// dropped as soon as the hook returns, so the resident set is the
-    /// in-flight cells plus whatever finished out of order ahead of the
-    /// row-major cursor (≈ the worker count for similarly-priced cells),
-    /// never the whole grid. Use [`TraceSpec::Ring`] via [`Plan::trace`]
-    /// to bound the per-cell footprint too.
-    ///
-    /// The per-cell sink follows [`Plan::trace`]; the default
-    /// [`TraceSpec::Off`] records fully here, since calling this method is
-    /// the explicit request to trace. Statistics are identical to
-    /// [`Plan::run`] — tracing observes, never perturbs.
-    pub fn run_traced<F>(&self, session: &Session, mut hook: F) -> ResultSet
-    where
-        F: FnMut(&JobKey, &RunResult, &Trace),
-    {
-        self.validate();
-        let jobs = self.jobs();
-        let n = jobs.len();
-        let cache = session.cache();
-        let parallelism = session.parallelism().clamp(1, n.max(1));
-        let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, RunResult, Trace)>();
-            let jobs = &jobs;
-            // Producer: the usual rayon fan-out, but each finished cell is
-            // sent immediately instead of being collected.
-            scope.spawn(move || {
-                let tx = parking_lot::Mutex::new(tx);
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(parallelism)
-                    .build()
-                    .expect("simulation thread pool");
-                pool.install(|| {
-                    (0..n).collect::<Vec<usize>>().par_iter().for_each(|&i| {
-                        let (result, trace) = self.run_cell(cache, &jobs[i], &NullTelemetry, true);
-                        // The consumer only hangs up early on panic; drop
-                        // the cell and let the scope propagate it.
-                        let _ = tx.lock().send((i, result, trace));
-                    });
-                });
-            });
-            // Consumer: drain completions, re-serialize into row-major
-            // order, hook each cell once and drop its trace right after.
-            let mut pending: std::collections::BTreeMap<usize, (RunResult, Trace)> =
-                std::collections::BTreeMap::new();
-            let mut next = 0usize;
-            while next < n {
-                let Ok((i, result, trace)) = rx.recv() else {
-                    // Producer died (worker panic): the scope re-raises it
-                    // when the spawned thread is joined below.
-                    break;
-                };
-                pending.insert(i, (result, trace));
-                while let Some((result, trace)) = pending.remove(&next) {
-                    hook(&jobs[next], &result, &trace);
-                    results[next] = Some(result);
-                    next += 1;
-                }
-            }
-        });
-        let mut results: Vec<RunResult> = results
-            .into_iter()
-            .map(|r| r.expect("every grid cell completed"))
-            .collect();
-        // Attributed after the streaming hooks ran: cache economics are a
-        // grid property, not a trace property.
-        self.attribute_cache(&jobs, &mut results);
-        self.result_set(results, false)
     }
 
     /// Run *one* cell of the grid with tracing, returning its result and
@@ -959,30 +890,27 @@ impl Plan {
         // cells unreachable by key and double-count in the aggregations.
         assert_unique("scheme", schemes.iter().map(SchemeRef::name));
         assert_unique("workload", workloads.iter().map(WorkloadRef::name));
-        // Custom specs sharing a name across workloads must be identical:
-        // the image cache is keyed by name, so differing knobs would make a
+        // Specs sharing a name across workloads must be identical: the
+        // image cache is keyed by name, so differing knobs would make a
         // cell's result depend on which rayon worker compiles first.
-        let mut custom: std::collections::HashMap<&str, &BenchmarkSpec> =
+        let mut specs: std::collections::HashMap<&str, &BenchmarkSpec> =
             std::collections::HashMap::new();
-        for w in workloads {
-            for m in w.members.iter() {
-                if let Member::Custom(s) = m {
-                    if let Some(prev) = custom.insert(&s.name, s) {
-                        assert!(
-                            prev == &**s,
-                            "plan uses two different custom specs named {:?}; names are the \
-                             compilation-cache identity, so rename one variant",
-                            s.name
-                        );
-                    }
-                }
-            }
+        for s in workloads.iter().flat_map(|w| w.members.iter()) {
+            let first = *specs.entry(&s.name).or_insert(s);
+            assert!(
+                first == &**s,
+                "plan uses two different custom specs named {:?}; names are the \
+                 compilation-cache identity, so rename one variant",
+                s.name
+            );
         }
     }
 
     /// Execute one cell. `t` meters the compile and simulate shares of
-    /// its wall time (free under [`NullTelemetry`]); with `traced` the
-    /// cell's [`Trace`] is recorded too, otherwise it comes back empty.
+    /// its wall time (free under [`NullTelemetry`]); with `traced` a
+    /// machine cell's [`Trace`] is recorded too, otherwise it comes back
+    /// empty. A fleet cell always returns its routing trace (one event
+    /// per arrival).
     ///
     /// Fleet cells run single-threaded internally (`parallelism = 1`):
     /// the plan's rayon fan-out is *across* cells, and nesting worker
@@ -996,16 +924,11 @@ impl Plan {
         t: &T,
         traced: bool,
     ) -> (RunResult, Trace) {
-        use crate::fleet::{run_fleet, run_fleet_traced};
         use crate::metrics::names::{CELL_COMPILE_NS, CELL_SIMULATE_NS};
         let cfg = self.config_for(key);
         let mut sim_start = t.now_ns();
         let (stats, trace) = match &key.fleet {
-            Some(fleet) if traced => run_fleet_traced(cache, &cfg, fleet, &key.workload, 1),
-            Some(fleet) => (
-                run_fleet(cache, &cfg, fleet, &key.workload, 1),
-                Trace::default(),
-            ),
+            Some(fleet) => crate::fleet::run_fleet_traced(cache, &cfg, fleet, &key.workload, 1),
             None => {
                 let threads = key.workload.threads(cache, &cfg, t);
                 let compiled = t.now_ns();
@@ -2352,14 +2275,13 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_hooks_every_cell_in_grid_order() {
+    fn run_traced_maps_every_cell_in_grid_order() {
         let plan = Plan::new()
             .schemes(["ST", "1S"])
             .workload("idct")
             .axes([MemoryModel::Real, MemoryModel::Perfect])
             .scale(100_000);
-        let mut seen: Vec<(String, String)> = Vec::new();
-        let set = plan.run_traced(&Session::with_parallelism(2), |key, result, trace| {
+        let (set, seen) = plan.run_traced(&Session::with_parallelism(2), |key, result, trace| {
             assert!(!trace.is_empty(), "every cell records events");
             assert_eq!(trace.end_cycle, result.stats.cycles);
             // Trace-derived stall decomposition matches the cell's stats.
@@ -2367,9 +2289,12 @@ mod tests {
                 vliw_trace::StallBreakdown::from_events(&trace.events),
                 result.stats.stall_breakdown
             );
-            seen.push((key.scheme.name().to_string(), key.memory.label().into()));
+            (
+                key.scheme.name().to_string(),
+                key.memory.label().to_string(),
+            )
         });
-        // Hook ran once per cell, row-major (schemes outer, memory inner).
+        // One value per cell, row-major (schemes outer, memory inner).
         assert_eq!(
             seen,
             vec![

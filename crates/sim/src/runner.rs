@@ -123,24 +123,12 @@ impl ImageCache {
         self.get_spec_metered(spec, machine, &vliw_telemetry::NullTelemetry)
     }
 
-    /// [`ImageCache::get`] with timing-class telemetry: compile and verify
-    /// wall time plus live probe hit/miss counts. The live probe split is
-    /// scheduling-dependent under parallelism, which is why it lives in the
-    /// timing class; the deterministic hit/miss split is derived post-hoc
-    /// from [`ImageCache::requests`] and [`ImageCache::len`].
-    pub fn get_metered<T: Telemetry>(
-        &self,
-        name: &str,
-        machine: &vliw_isa::MachineConfig,
-        t: &T,
-    ) -> Result<CachedImage, SimError> {
-        let spec = benchmark(name)
-            .ok_or_else(|| vliw_workloads::BuildError::UnknownBenchmark(name.to_string()))?;
-        self.get_spec_metered(spec, machine, t)
-    }
-
-    /// [`ImageCache::get_spec`] with timing-class telemetry (see
-    /// [`ImageCache::get_metered`]).
+    /// [`ImageCache::get_spec`] with timing-class telemetry: compile and
+    /// verify wall time plus live probe hit/miss counts. The live probe
+    /// split is scheduling-dependent under parallelism, which is why it
+    /// lives in the timing class; the deterministic hit/miss split is
+    /// derived post-hoc from [`ImageCache::requests`] and
+    /// [`ImageCache::len`].
     pub fn get_spec_metered<T: Telemetry>(
         &self,
         spec: &BenchmarkSpec,
@@ -301,43 +289,6 @@ where
         .build()
         .expect("simulation thread pool");
     pool.install(|| jobs.par_iter().map(&worker).collect())
-}
-
-/// [`run_jobs`] with per-cell telemetry: each job's wall time is observed
-/// into the `vliw_cell_wall_ns` histogram and its completion reported via
-/// [`Telemetry::cell_done`] (which drives the progress heartbeat and the
-/// live cache hit-rate probe). With [`vliw_telemetry::NullTelemetry`] every
-/// emission compiles away and this is exactly [`run_jobs`].
-pub fn run_jobs_metered<J, R, F, T>(
-    jobs: Vec<J>,
-    worker: F,
-    parallelism: usize,
-    t: &T,
-    cache: &ImageCache,
-) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-    T: Telemetry,
-{
-    if !T::ENABLED {
-        return run_jobs(jobs, worker, parallelism);
-    }
-    run_jobs(
-        jobs,
-        |job| {
-            let start = t.now_ns();
-            let out = worker(job);
-            t.observe(
-                crate::metrics::names::CELL_WALL_NS,
-                t.now_ns().saturating_sub(start),
-            );
-            t.cell_done(cache.requests(), cache.len() as u64);
-            out
-        },
-        parallelism,
-    )
 }
 
 /// Default sweep parallelism: physical cores minus one, at least 1.

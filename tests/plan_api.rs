@@ -681,7 +681,7 @@ fn conservation_holds_when_idle_cycles_are_skipped() {
     }
 }
 
-/// The plan-level trace hook: every cell's full event stream reproduces
+/// The plan-level trace map: every cell's full event stream reproduces
 /// the cell's aggregate stall decomposition exactly (the tracer's
 /// conservation invariant), under 1, 2 and 4 workers, and trace exports
 /// are byte-identical across worker counts.
@@ -694,27 +694,45 @@ fn traced_cells_conserve_and_export_byte_identically() {
         .scale(50_000);
     let mut exports: Vec<Vec<String>> = Vec::new();
     for par in [1usize, 2, 4] {
-        let mut cell_exports = Vec::new();
-        plan.run_traced(&Session::with_parallelism(par), |key, result, trace| {
-            assert_eq!(
-                StallBreakdown::from_events(&trace.events),
-                result.stats.stall_breakdown,
-                "{}/{}: trace must reproduce the aggregate decomposition",
-                key.scheme.name(),
-                key.workload.name()
-            );
-            assert_eq!(trace.end_cycle, result.stats.cycles);
-            cell_exports.push(TraceFormat::Chrome.export(trace));
-            cell_exports.push(TraceFormat::Jsonl.export(trace));
-            cell_exports.push(TraceFormat::Csv.export(trace));
+        let (_, cells) = plan.run_traced(&Session::with_parallelism(par), |key, result, trace| {
+            let label = format!("{}/{}", key.scheme.name(), key.workload.name());
+            let conserved = StallBreakdown::from_events(&trace.events)
+                == result.stats.stall_breakdown
+                && trace.end_cycle == result.stats.cycles;
+            let formats = [TraceFormat::Chrome, TraceFormat::Jsonl, TraceFormat::Csv];
+            (label, conserved, formats.map(|f| f.export(trace)))
         });
-        exports.push(cell_exports);
+        for (label, conserved, _) in &cells {
+            assert!(
+                conserved,
+                "{label}: trace must reproduce the aggregate decomposition and length"
+            );
+        }
+        exports.push(cells.into_iter().flat_map(|c| c.2).collect());
     }
     assert_eq!(exports[0].len(), 2 * 3, "two cells, three formats");
     assert_eq!(exports[0], exports[1], "1 vs 2 workers");
     assert_eq!(exports[0], exports[2], "1 vs 4 workers");
     // The chrome export is structurally a trace_event JSON document.
     assert!(exports[0][0].starts_with("{\"traceEvents\":["));
+}
+
+/// Every workload member carries its benchmark spec, and spec names are
+/// the image-cache identity: a custom spec reusing a Table-1 name with
+/// different knobs next to the real benchmark is rejected before any cell
+/// runs, not inside a worker on a cache-identity check.
+#[test]
+#[should_panic(expected = "shadows a Table-1 benchmark")]
+fn custom_spec_shadowing_a_table1_name_is_rejected_before_running() {
+    use vliw_tms::sim::plan::WorkloadRef;
+    let mut spec = vliw_tms::workloads::benchmark("idct").unwrap().clone();
+    spec.unroll += 1; // changed knobs, unchanged name
+    let _ = Plan::new()
+        .scheme("ST")
+        .workload("idct")
+        .workload(WorkloadRef::custom("idct-variant", vec![spec]))
+        .scale(100_000)
+        .run(&Session::with_parallelism(2));
 }
 
 /// The fleet axis (PR 9): a schemes x fleets grid under one arrival
